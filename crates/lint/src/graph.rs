@@ -23,19 +23,28 @@
 //! this under-approximates across type-erased call sites and is the
 //! documented trade-off of a first-party analyzer with no type inference.
 //!
+//! ## Shared reachability
+//!
+//! [`build`] also records the reverse edges ([`Graph::callers`]) once, and
+//! `Graph::reach` is the one multi-source shortest-witness BFS over them:
+//! panic-path here, and the lock pass's acquire and blocking taint, all
+//! call it with their own seeds and barrier predicate, and render chains
+//! with [`Graph::chain`].
+//!
 //! ## Allows
 //!
 //! A panic source is *defused* (does not taint its function or callers) by
 //! an inline `allow(panic-path)`/`allow(no-panic-lib)` on its line; a
 //! function is a *barrier* (proven/documented — never taints callers) when
 //! an `allow(panic-path)` is attached to its declaration or a file-scope
-//! `allow-file(panic-path)` covers its file. [`Graph::used_allow_lines`]
-//! reports which of those directives were load-bearing so the `stale-allow`
-//! rule can flag the rest.
+//! `allow-file(panic-path)` covers its file. Both are answered by the shared
+//! [`Ledger`], which marks the directives that were load-bearing so the
+//! `stale-allow` rule can flag the rest.
 
 // cmr-lint: allow-file(panic-path) node ids are arena indices minted by build(); every dereference uses an id the arena issued
 
 use crate::parser::{CallSite, FnDef, ParsedFile, PanicKind, Receiver};
+use crate::rules::{is_test_path, Ledger};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Schema version stamped into `CALLGRAPH.json`.
@@ -77,25 +86,12 @@ pub struct FileUnit<'a> {
     pub in_lib: bool,
 }
 
-/// Panic-relevant allow directives of one file (prepared by the rule
-/// engine from the shared allow-comment set).
-#[derive(Default, Clone)]
-pub struct PanicAllows {
-    /// Lines carrying `allow(panic-path)` or `allow(no-panic-lib)`; each
-    /// covers its own line and the line directly below (site defusing) and
-    /// any `fn` whose declaration starts on/under it (barrier).
-    pub lines: BTreeSet<u32>,
-    /// A file-scope `allow-file(panic-path)` exists: every fn in the file
-    /// is a barrier.
-    pub file_scope: bool,
-}
-
-/// What made a function a barrier.
+/// What made a function a barrier for a rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BarrierFrom {
-    /// A fn-scoped `allow(panic-path)` at this allow-comment line.
+    /// A fn-scoped line allow at this allow-comment line.
     Line(u32),
-    /// The file-scope `allow-file(panic-path)` directive.
+    /// A file-scope `allow-file` directive.
     File,
 }
 
@@ -108,19 +104,27 @@ pub struct SourceSite {
     pub what: String,
 }
 
-/// Shortest-witness taint data for a reachable function.
+/// Shortest-witness provenance of one reached node.
 #[derive(Clone, Debug)]
-pub struct Taint {
-    /// Chain length in functions (1 = the panic is in this fn itself).
+pub struct Witness {
+    /// Chain length in functions (1 = the seed site is in this fn itself).
     pub dist: u32,
-    /// Next function on the shortest chain (`None` for the source fn).
+    /// Next function on the chain toward the seed (`None` for the seed fn).
     pub via: Option<usize>,
-    /// Description + location of the witness panic site.
+    /// Description + location of the seed site (empty off the seed fn).
     pub site: String,
 }
 
+/// Struct fields per `(crate, type)`: field name → type tail. Built from
+/// non-test files only; the first declaration of a field wins.
+pub type FieldMap = HashMap<(String, String), HashMap<String, String>>;
+
 /// One function node in the call graph.
 pub struct Node {
+    /// Index of the defining file in the `units` slice handed to [`build`].
+    pub unit: usize,
+    /// Index of the definition in that unit's `parsed.fns`.
+    pub def: usize,
     /// Stable display id, e.g. `adamine::Model::embed`.
     pub id: String,
     /// Repo-relative file.
@@ -155,8 +159,6 @@ pub struct Node {
     pub resolved_calls: Vec<ResolvedCall>,
     /// Call sites that could not be resolved to a workspace fn.
     pub unresolved_calls: usize,
-    /// Transitive panic reachability (filled by propagation).
-    pub taint: Option<Taint>,
 }
 
 /// One call site resolved to workspace candidates.
@@ -191,11 +193,12 @@ pub struct DiscardedResult {
 pub struct Graph {
     /// All function nodes, in deterministic (file, line) order.
     pub nodes: Vec<Node>,
-    /// `(file, allow-line)` pairs of panic allows that defused a source or
-    /// erected a load-bearing barrier.
-    pub used_allow_lines: BTreeSet<(String, u32)>,
-    /// Files whose `allow-file(panic-path)` was load-bearing.
-    pub used_file_allows: BTreeSet<String>,
+    /// Reverse call edges: every caller of each node (sorted, deduped).
+    pub callers: Vec<Vec<usize>>,
+    /// Transitive panic reachability per node (shortest witness).
+    pub panic: Vec<Option<Witness>>,
+    /// The workspace struct-field map (receiver and cast-source typing).
+    pub fields: FieldMap,
     /// Discarded calls resolving only to `Result`-returning workspace fns.
     pub discarded_results: Vec<DiscardedResult>,
 }
@@ -211,13 +214,65 @@ pub fn crate_of(path: &str) -> String {
     }
 }
 
-/// Index of `FnDef`s across files plus receiver-type context.
-struct FnRef<'a> {
-    unit: usize,
-    def: &'a FnDef,
-}
-
 impl Graph {
+    /// The definition behind node `i`, from the `units` that built the graph.
+    pub(crate) fn def<'a>(&self, units: &[FileUnit<'a>], i: usize) -> &'a FnDef {
+        let n = &self.nodes[i];
+        &units[n.unit].parsed.fns[n.def]
+    }
+
+    /// Multi-source shortest-witness BFS backwards over the call edges.
+    /// Every seed `(node, site)` reaches itself at distance 1, then each
+    /// caller inherits the shortest chain. A `blocked` node is neither
+    /// seeded nor reached (barrier fns, test code), so it stops the chain.
+    pub(crate) fn reach(
+        &self,
+        seeds: impl IntoIterator<Item = (usize, String)>,
+        blocked: impl Fn(usize) -> bool,
+    ) -> Vec<Option<Witness>> {
+        let mut wit: Vec<Option<Witness>> = vec![None; self.nodes.len()];
+        let mut queue: VecDeque<usize> = VecDeque::new();
+        for (i, site) in seeds {
+            if wit[i].is_none() && !blocked(i) {
+                wit[i] = Some(Witness { dist: 1, via: None, site });
+                queue.push_back(i);
+            }
+        }
+        while let Some(cur) = queue.pop_front() {
+            let dist = wit[cur].as_ref().map_or(1, |w| w.dist) + 1;
+            for &caller in &self.callers[cur] {
+                if wit[caller].is_none() && !blocked(caller) {
+                    wit[caller] = Some(Witness { dist, via: Some(cur), site: String::new() });
+                    queue.push_back(caller);
+                }
+            }
+        }
+        wit
+    }
+
+    /// Renders the witness chain from `from` down to its seed site, e.g.
+    /// `adamine::Model::embed → nn::Mlp::forward → .unwrap() (crates/nn/src/mlp.rs:90)`;
+    /// `reversed` renders it seed-first.
+    pub fn chain(&self, wit: &[Option<Witness>], from: usize, reversed: bool) -> String {
+        let mut parts = Vec::new();
+        let mut cur = from;
+        for _ in 0..64 {
+            parts.push(self.nodes[cur].id.clone());
+            match &wit[cur] {
+                Some(Witness { via: Some(nxt), .. }) => cur = *nxt,
+                Some(w) => {
+                    parts.push(w.site.clone());
+                    break;
+                }
+                None => break,
+            }
+        }
+        if reversed {
+            parts.reverse();
+        }
+        parts.join(" → ")
+    }
+
     /// Renders the deterministic `CALLGRAPH.json` artifact.
     pub fn render_json(&self) -> String {
         let stats = self.crate_stats();
@@ -240,11 +295,12 @@ impl Graph {
         out.push_str("  },\n  \"nodes\": [\n");
         let m = self.nodes.len();
         for (i, node) in self.nodes.iter().enumerate() {
-            let chain = node
-                .taint
-                .as_ref()
-                .map(|_| format!(", \"panic_chain\": \"{}\"", esc(&self.chain_of(i))))
-                .unwrap_or_default();
+            let chain = match &self.panic[i] {
+                Some(_) => {
+                    format!(", \"panic_chain\": \"{}\"", esc(&self.chain(&self.panic, i, false)))
+                }
+                None => String::new(),
+            };
             let barrier = match node.barrier {
                 Some(_) => ", \"barrier\": true",
                 None => "",
@@ -283,31 +339,10 @@ impl Graph {
         out
     }
 
-    /// Renders the shortest witness chain for a tainted node, e.g.
-    /// `adamine::Model::embed → nn::Mlp::forward → .unwrap() (crates/nn/src/mlp.rs:90)`.
-    pub fn chain_of(&self, idx: usize) -> String {
-        let mut parts = Vec::new();
-        let mut cur = idx;
-        for _ in 0..64 {
-            parts.push(self.nodes[cur].id.clone());
-            match &self.nodes[cur].taint {
-                Some(t) => match t.via {
-                    Some(nxt) => cur = nxt,
-                    None => {
-                        parts.push(t.site.clone());
-                        break;
-                    }
-                },
-                None => break,
-            }
-        }
-        parts.join(" → ")
-    }
-
     /// Per-crate aggregate metrics (deterministically ordered).
     pub fn crate_stats(&self) -> BTreeMap<String, CrateStats> {
         let mut map: BTreeMap<String, CrateStats> = BTreeMap::new();
-        for node in &self.nodes {
+        for (node, panic) in self.nodes.iter().zip(&self.panic) {
             let s = map.entry(node.krate.clone()).or_default();
             s.fns += 1;
             if node.is_pub && !node.is_test {
@@ -320,7 +355,7 @@ impl Graph {
             if node.barrier.is_some() {
                 s.barriers += 1;
             }
-            if node.is_pub && !node.is_test && node.in_lib && node.taint.is_some() {
+            if node.is_pub && !node.is_test && node.in_lib && panic.is_some() {
                 s.panic_surface += 1;
             }
         }
@@ -351,16 +386,11 @@ pub struct CrateStats {
     pub panic_surface: usize,
 }
 
-/// Builds the call graph, runs panic propagation, and reports allow usage.
-pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Graph {
-    // ---- nodes ----
-    let mut nodes: Vec<Node> = Vec::new();
-    let mut refs: Vec<FnRef> = Vec::new();
-    let mut used_allow_lines: BTreeSet<(String, u32)> = BTreeSet::new();
-    let mut used_file_allows: BTreeSet<String> = BTreeSet::new();
-    // Struct fields per (crate, type) for receiver/field typing.
-    let mut fields: HashMap<(String, String), HashMap<String, String>> = HashMap::new();
-    for u in units {
+/// Builds the call graph and runs panic propagation. The ledger answers the
+/// panic allows (site defuses, fn barriers) and marks the load-bearing ones.
+pub fn build(units: &[FileUnit], ledger: &Ledger) -> Graph {
+    let mut fields: FieldMap = HashMap::new();
+    for u in units.iter().filter(|u| !is_test_path(u.path)) {
         let krate = crate_of(u.path);
         for st in &u.parsed.structs {
             let entry = fields.entry((krate.clone(), st.name.clone())).or_default();
@@ -370,11 +400,13 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
         }
     }
 
+    // ---- nodes ----
+    let mut nodes: Vec<Node> = Vec::new();
+    let mut defs: Vec<&FnDef> = Vec::new();
     let mut id_seen: HashMap<String, usize> = HashMap::new();
     for (ui, u) in units.iter().enumerate() {
         let krate = crate_of(u.path);
-        let pa = allows.get(u.path).cloned().unwrap_or_default();
-        for def in &u.parsed.fns {
+        for (di, def) in u.parsed.fns.iter().enumerate() {
             let mut id = String::new();
             id.push_str(&krate);
             for m in &def.module {
@@ -393,25 +425,7 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
                 id.push_str(&format!("#{dup}"));
             }
 
-            // Barrier detection.
-            let mut barrier = None;
-            if pa.file_scope {
-                barrier = Some(BarrierFrom::File);
-            } else {
-                for cand in [
-                    def.attach_line.checked_sub(1),
-                    Some(def.attach_line),
-                    Some(def.line),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    if pa.lines.contains(&cand) {
-                        barrier = Some(BarrierFrom::Line(cand));
-                        break;
-                    }
-                }
-            }
+            let barrier = ledger.fn_barrier(u.path, "panic-path", def);
 
             // Panic sources.
             let mut by_kind = [0usize; 4];
@@ -433,15 +447,8 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
                 sites.sort();
                 for (line, _col, k, what) in sites {
                     by_kind[k] += 1;
-                    let cover = [line.checked_sub(1), Some(line)]
-                        .into_iter()
-                        .flatten()
-                        .find(|l| pa.lines.contains(l));
-                    let site_defused = cover.is_some() || barrier.is_some();
-                    if let Some(l) = cover {
-                        used_allow_lines.insert((u.path.to_string(), l));
-                    }
-                    if site_defused {
+                    let covered = ledger.covers(u.path, "panic-path", line).is_some();
+                    if covered || barrier.is_some() {
                         defused += 1;
                     } else {
                         live.push(SourceSite { line, what });
@@ -450,13 +457,15 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
             }
 
             nodes.push(Node {
+                unit: ui,
+                def: di,
                 id,
                 file: u.path.to_string(),
                 line: def.line,
                 col: def.col,
                 krate: krate.clone(),
                 is_pub: def.is_pub,
-                is_test: def.is_test || !u.in_lib && is_test_like(u.path),
+                is_test: def.is_test || !u.in_lib && is_test_path(u.path),
                 in_lib: u.in_lib,
                 returns_result: def.returns_result,
                 barrier,
@@ -466,9 +475,8 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
                 callees: Vec::new(),
                 resolved_calls: Vec::new(),
                 unresolved_calls: 0,
-                taint: None,
             });
-            refs.push(FnRef { unit: ui, def });
+            defs.push(def);
         }
     }
 
@@ -476,24 +484,20 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
     let mut by_type_method: HashMap<(String, String), Vec<usize>> = HashMap::new();
     let mut free_by_name: HashMap<String, Vec<usize>> = HashMap::new();
     let mut method_by_name: HashMap<String, Vec<usize>> = HashMap::new();
-    for (i, r) in refs.iter().enumerate() {
-        match &r.def.self_ty {
+    for (i, def) in defs.iter().enumerate() {
+        match &def.self_ty {
             Some(ty) => {
-                by_type_method
-                    .entry((ty.clone(), r.def.name.clone()))
-                    .or_default()
-                    .push(i);
-                method_by_name.entry(r.def.name.clone()).or_default().push(i);
+                by_type_method.entry((ty.clone(), def.name.clone())).or_default().push(i);
+                method_by_name.entry(def.name.clone()).or_default().push(i);
             }
-            None => free_by_name.entry(r.def.name.clone()).or_default().push(i),
+            None => free_by_name.entry(def.name.clone()).or_default().push(i),
         }
     }
 
     // ---- edges ----
     let mut discarded_results: Vec<DiscardedResult> = Vec::new();
     for i in 0..nodes.len() {
-        let r = &refs[i];
-        let Some(body) = &r.def.body else { continue };
+        let Some(body) = &defs[i].body else { continue };
         let mut callees: BTreeSet<usize> = BTreeSet::new();
         let mut resolved_calls: Vec<ResolvedCall> = Vec::new();
         let mut unresolved = 0usize;
@@ -501,22 +505,19 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
             let targets = resolve_call(
                 i,
                 call,
-                r,
-                &refs,
-                units,
+                &defs,
+                &nodes,
                 &by_type_method,
                 &free_by_name,
                 &method_by_name,
-                &fields,
-                &nodes,
             );
             if targets.is_empty() {
                 unresolved += 1;
-            } else if call.discarded
-                && targets.iter().all(|&t| refs[t].def.returns_result)
-            {
+                continue;
+            }
+            if call.discarded && targets.iter().all(|&t| defs[t].returns_result) {
                 discarded_results.push(DiscardedResult {
-                    file: units[r.unit].path.to_string(),
+                    file: nodes[i].file.clone(),
                     line: call.line,
                     col: call.col,
                     caller: i,
@@ -524,14 +525,12 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
                 });
             }
             callees.extend(targets.iter().copied());
-            if !targets.is_empty() {
-                resolved_calls.push(ResolvedCall {
-                    line: call.line,
-                    col: call.col,
-                    name: call.name.clone(),
-                    targets,
-                });
-            }
+            resolved_calls.push(ResolvedCall {
+                line: call.line,
+                col: call.col,
+                name: call.name.clone(),
+                targets,
+            });
         }
         nodes[i].callees = callees.into_iter().collect();
         nodes[i].resolved_calls = resolved_calls;
@@ -539,74 +538,31 @@ pub fn build(units: &[FileUnit], allows: &BTreeMap<String, PanicAllows>) -> Grap
     }
     discarded_results.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
 
-    // ---- panic propagation (multi-source BFS over reverse edges) ----
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    // ---- reverse edges (ascending callers, each once: callees are deduped) ----
+    let mut callers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
     for (i, node) in nodes.iter().enumerate() {
         for &c in &node.callees {
-            rev[c].push(i);
+            callers[c].push(i);
         }
     }
-    for r in &mut rev {
-        r.sort_unstable();
-        r.dedup();
-    }
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for (i, node) in nodes.iter_mut().enumerate() {
-        if node.barrier.is_some() || node.is_test {
-            continue;
-        }
-        if let Some(first) = node.live_sources.first() {
-            node.taint = Some(Taint {
-                dist: 1,
-                via: None,
-                site: format!("{} ({}:{})", first.what, node.file, first.line),
-            });
-            queue.push_back(i);
-        }
-    }
-    while let Some(cur) = queue.pop_front() {
-        let dist = nodes[cur].taint.as_ref().map(|t| t.dist).unwrap_or(0);
-        let site = nodes[cur].taint.as_ref().map(|t| t.site.clone()).unwrap_or_default();
-        for &caller in &rev[cur].clone() {
-            if nodes[caller].taint.is_some()
-                || nodes[caller].barrier.is_some()
-                || nodes[caller].is_test
-            {
-                continue;
-            }
-            nodes[caller].taint =
-                Some(Taint { dist: dist + 1, via: Some(cur), site: site.clone() });
-            queue.push_back(caller);
-        }
-    }
+
+    // ---- panic propagation ----
+    let mut g = Graph { nodes, callers, panic: Vec::new(), fields, discarded_results };
+    let seeds = g.nodes.iter().enumerate().filter_map(|(i, n)| {
+        n.live_sources.first().map(|s| (i, format!("{} ({}:{})", s.what, n.file, s.line)))
+    });
+    let panic = g.reach(seeds, |i| g.nodes[i].barrier.is_some() || g.nodes[i].is_test);
+    g.panic = panic;
 
     // ---- allow usage: load-bearing barriers ----
-    for node in &nodes {
+    for node in &g.nodes {
+        let Some(b) = node.barrier else { continue };
         let total: usize = node.sources_by_kind.iter().sum();
-        let stops_callee = node
-            .callees
-            .iter()
-            .any(|&c| nodes[c].taint.is_some() && nodes[c].barrier.is_none());
-        let load_bearing = total > 0 || stops_callee;
-        if !load_bearing {
-            continue;
-        }
-        match node.barrier {
-            Some(BarrierFrom::Line(l)) => {
-                used_allow_lines.insert((node.file.clone(), l));
-            }
-            Some(BarrierFrom::File) => {
-                used_file_allows.insert(node.file.clone());
-            }
-            None => {}
+        if total > 0 || node.callees.iter().any(|&c| g.panic[c].is_some()) {
+            ledger.mark_barrier(&node.file, "panic-path", b);
         }
     }
-
-    Graph { nodes, used_allow_lines, used_file_allows, discarded_results }
-}
-
-fn is_test_like(path: &str) -> bool {
-    path.split('/').any(|c| c == "tests" || c == "benches")
+    g
 }
 
 /// Looks up the latest typed binding of `name` before `line`.
@@ -625,19 +581,16 @@ pub(crate) fn local_type(def: &FnDef, name: &str, line: u32) -> Option<String> {
     def.params.iter().find(|(n, _)| n == name).map(|(_, t)| t.clone())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn resolve_call(
-    _caller: usize,
+    caller: usize,
     call: &CallSite,
-    r: &FnRef,
-    refs: &[FnRef],
-    units: &[FileUnit],
+    defs: &[&FnDef],
+    nodes: &[Node],
     by_type_method: &HashMap<(String, String), Vec<usize>>,
     free_by_name: &HashMap<String, Vec<usize>>,
     method_by_name: &HashMap<String, Vec<usize>>,
-    _fields: &HashMap<(String, String), HashMap<String, String>>,
-    nodes: &[Node],
 ) -> Vec<usize> {
+    let def = defs[caller];
     let name = call.name.as_str();
     let typed = |ty: &str| -> Vec<usize> {
         by_type_method
@@ -647,7 +600,7 @@ fn resolve_call(
     };
     match &call.receiver {
         Some(Receiver::SelfRecv) => {
-            if let Some(ty) = &r.def.self_ty {
+            if let Some(ty) = &def.self_ty {
                 let t = typed(ty);
                 if !t.is_empty() {
                     return t;
@@ -659,7 +612,7 @@ fn resolve_call(
             method_by_name.get(name).cloned().unwrap_or_default()
         }
         Some(Receiver::Ident(v)) => {
-            if let Some(ty) = local_type(r.def, v, call.line) {
+            if let Some(ty) = local_type(def, v, call.line) {
                 // A known receiver type resolves exactly (or externally).
                 return typed(&ty);
             }
@@ -677,7 +630,7 @@ fn resolve_call(
         None => {
             if let Some(last) = call.qualifier.last() {
                 if last == "Self" {
-                    if let Some(ty) = &r.def.self_ty {
+                    if let Some(ty) = &def.self_ty {
                         return typed(ty);
                     }
                     return Vec::new();
@@ -693,8 +646,7 @@ fn resolve_call(
                             .iter()
                             .copied()
                             .filter(|&c| {
-                                refs[c].def.module.last().map(String::as_str)
-                                    == Some(last.as_str())
+                                defs[c].module.last().map(String::as_str) == Some(last.as_str())
                                     || nodes[c].krate == *last
                                     || nodes[c].krate == last.trim_start_matches("cmr_")
                             })
@@ -705,27 +657,22 @@ fn resolve_call(
             // A bare call through a parameter is a closure invocation, not a
             // free fn — `store.load(slot, parse)` must not link `parse(&b)`
             // to some crate's free `parse`.
-            if r.def.params.iter().any(|(n, _)| n == name) {
+            if def.params.iter().any(|(n, _)| n == name) {
                 return Vec::new();
             }
             // Bare call: prefer same module in same crate, then same crate.
             let Some(cands) = free_by_name.get(name) else { return Vec::new() };
-            let my_crate = &nodes.get(_caller).map(|n| n.krate.clone()).unwrap_or_default();
+            let me = &nodes[caller];
             let same_unit: Vec<usize> = cands
                 .iter()
                 .copied()
-                .filter(|&c| {
-                    refs[c].unit == r.unit && refs[c].def.module == r.def.module
-                })
+                .filter(|&c| nodes[c].unit == me.unit && defs[c].module == def.module)
                 .collect();
             if !same_unit.is_empty() {
                 return same_unit;
             }
-            let same_crate: Vec<usize> = cands
-                .iter()
-                .copied()
-                .filter(|&c| crate_of(units[refs[c].unit].path) == *my_crate)
-                .collect();
+            let same_crate: Vec<usize> =
+                cands.iter().copied().filter(|&c| nodes[c].krate == me.krate).collect();
             if !same_crate.is_empty() {
                 return same_crate;
             }
@@ -740,15 +687,23 @@ mod tests {
     use crate::lexer::lex;
     use crate::parser::parse;
 
-    fn graph_of(files: &[(&str, &str)]) -> Graph {
-        let parsed: Vec<ParsedFile> =
-            files.iter().map(|(_, src)| parse(&lex(src).expect("lex"))).collect();
+    /// Builds the graph with every file's allow directives in the ledger.
+    fn graph_with(files: &[(&str, &str)], ledger: &mut Ledger) -> Graph {
+        let tokens: Vec<_> = files.iter().map(|(_, src)| lex(src).expect("lex")).collect();
+        for ((path, _), toks) in files.iter().zip(&tokens) {
+            ledger.add_file(path, toks, &mut Vec::new());
+        }
+        let parsed: Vec<ParsedFile> = tokens.iter().map(|t| parse(t)).collect();
         let units: Vec<FileUnit> = files
             .iter()
             .zip(parsed.iter())
             .map(|((path, _), p)| FileUnit { path, parsed: p, in_lib: true })
             .collect();
-        build(&units, &BTreeMap::new())
+        build(&units, ledger)
+    }
+
+    fn graph_of(files: &[(&str, &str)]) -> Graph {
+        graph_with(files, &mut Ledger::default())
     }
 
     #[test]
@@ -775,9 +730,9 @@ mod tests {
             ),
         ]);
         let embed = g.nodes.iter().position(|n| n.id == "a::Model::embed").unwrap();
-        let t = g.nodes[embed].taint.as_ref().expect("embed tainted");
+        let t = g.panic[embed].as_ref().expect("embed tainted");
         assert_eq!(t.dist, 3);
-        let chain = g.chain_of(embed);
+        let chain = g.chain(&g.panic, embed, false);
         assert!(
             chain.starts_with("a::Model::embed → b::Mlp::forward → b::Mlp::layer → slice index"),
             "{chain}"
@@ -786,31 +741,21 @@ mod tests {
 
     #[test]
     fn barrier_stops_taint_and_is_load_bearing() {
-        let mut allows = BTreeMap::new();
-        allows.insert(
-            "crates/b/src/lib.rs".to_string(),
-            PanicAllows { lines: [2u32].into_iter().collect(), file_scope: false },
-        );
         let files = [
             ("crates/a/src/lib.rs", "pub fn call() { helper(); }"),
             (
                 "crates/b/src/lib.rs",
-                "\n// barrier here (line 2)\npub fn helper() { panic!(\"boom\") }",
+                "\n// cmr-lint: allow(panic-path) barrier (line 2)\n\
+                 pub fn helper() { panic!(\"boom\") }",
             ),
         ];
-        let parsed: Vec<ParsedFile> =
-            files.iter().map(|(_, src)| parse(&lex(src).expect("lex"))).collect();
-        let units: Vec<FileUnit> = files
-            .iter()
-            .zip(parsed.iter())
-            .map(|((path, _), p)| FileUnit { path, parsed: p, in_lib: true })
-            .collect();
-        let g = build(&units, &allows);
+        let mut ledger = Ledger::default();
+        let g = graph_with(&files, &mut ledger);
         let call = g.nodes.iter().position(|n| n.id == "a::call").unwrap();
-        assert!(g.nodes[call].taint.is_none(), "barrier must stop taint");
-        assert!(g
-            .used_allow_lines
-            .contains(&("crates/b/src/lib.rs".to_string(), 2)));
+        assert!(g.panic[call].is_none(), "barrier must stop taint");
+        assert!(ledger
+            .iter()
+            .any(|(f, a)| f == "crates/b/src/lib.rs" && a.line == 2 && a.used()));
     }
 
     #[test]
@@ -826,7 +771,7 @@ mod tests {
             ),
         ]);
         let f = g.nodes.iter().position(|n| n.id == "a::f").unwrap();
-        assert!(g.nodes[f].taint.is_none(), "v.len() must not link to T::len");
+        assert!(g.panic[f].is_none(), "v.len() must not link to T::len");
     }
 
     #[test]

@@ -45,7 +45,10 @@
 //! `// cmr-lint: allow(rule-id) reason` comment (or a file-scope
 //! `// cmr-lint: allow-file(rule-id) reason`); the reason is mandatory.
 //! Taint flows additionally accept `// cmr-lint: trust(reason)` on or above
-//! the sink line.
+//! the sink line. Every directive lives in one [`rules::Ledger`] that all
+//! passes query and that records which directives were load-bearing; the
+//! interprocedural passes share one shortest-witness BFS
+//! (`graph::Graph::reach`) and one chain renderer.
 //!
 //! Run it with `cargo run -p cmr-lint --release -- --workspace` (the
 //! `scripts/verify.sh` gate does), add `--graph results/CALLGRAPH.json` for

@@ -9,9 +9,9 @@
 //! helpers) are matched to their `let` bindings, and each binding's live
 //! range runs from the end of its initializer to its `drop(..)` or scope
 //! end. Held-lock sets then propagate over the call graph exactly like
-//! panic taint: a multi-source BFS per lock answers "can calling this fn
-//! acquire L?", a second BFS answers "can calling this fn block?", and both
-//! carry shortest witness chains.
+//! panic taint, through the graph's shared `Graph::reach`: one BFS per
+//! lock answers "can calling this fn acquire L?", another answers "can
+//! calling this fn block?", and both carry shortest witness chains.
 //!
 //! Three rules come out of the model:
 //!
@@ -22,7 +22,8 @@
 //!   `JoinHandle::join`, `mpsc` send/recv, `Condvar::wait` on a *different*
 //!   lock, or a second workspace-lock acquisition while a guard is live.
 //!   Reasoned `// cmr-lint: allow(blocking-under-lock) …` line allows,
-//!   fn-decl barriers and `allow-file` are honored like `panic-path`.
+//!   fn-decl barriers and `allow-file` are honored like `panic-path`, all
+//!   through the shared [`Ledger`].
 //! * `condvar-discipline` — `wait`/`wait_timeout` outside a
 //!   predicate-rechecking loop is a lost-wakeup hazard; `notify_*` without
 //!   the paired mutex held is flagged as advisory.
@@ -32,30 +33,13 @@
 
 // cmr-lint: allow-file(panic-path) lock/edge/node indices are minted by this pass's own inventory and the graph arena; every dereference uses an index the builder issued
 
-use crate::graph::{crate_of, local_type, FileUnit, Graph};
+use crate::graph::{crate_of, local_type, BarrierFrom, FileUnit, Graph, Witness};
 use crate::parser::FnDef;
-use crate::rules::Finding;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use crate::rules::{is_test_path, Finding, Ledger};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Schema version stamped into `LOCKGRAPH.json`.
 pub const LOCKGRAPH_SCHEMA_VERSION: u32 = 1;
-
-/// Per-file allow state for the three concurrency rules.
-#[derive(Default, Clone)]
-pub struct ConcAllows {
-    /// Lines carrying `allow(blocking-under-lock)`.
-    pub blocking: BTreeSet<u32>,
-    /// Lines carrying `allow(lock-order)`.
-    pub order: BTreeSet<u32>,
-    /// Lines carrying `allow(condvar-discipline)`.
-    pub condvar: BTreeSet<u32>,
-    /// `allow-file(blocking-under-lock)` present.
-    pub blocking_file: bool,
-    /// `allow-file(lock-order)` present.
-    pub order_file: bool,
-    /// `allow-file(condvar-discipline)` present.
-    pub condvar_file: bool,
-}
 
 /// One lock or condvar in the workspace inventory.
 pub struct LockDef {
@@ -101,25 +85,6 @@ pub struct LockAnalysis {
     pub max_held_depth: usize,
     /// Unsuppressed findings from the three rules.
     pub findings: Vec<Finding>,
-    /// `(file, line, rule)` of line allows that suppressed or defused.
-    pub used_allow_lines: BTreeSet<(String, u32, String)>,
-    /// `(file, rule)` of load-bearing `allow-file` directives.
-    pub used_file_allows: BTreeSet<(String, String)>,
-}
-
-impl Default for LockAnalysis {
-    fn default() -> Self {
-        LockAnalysis {
-            locks: Vec::new(),
-            condvars: Vec::new(),
-            edges: Vec::new(),
-            cycles: Vec::new(),
-            max_held_depth: 0,
-            findings: Vec::new(),
-            used_allow_lines: BTreeSet::new(),
-            used_file_allows: BTreeSet::new(),
-        }
-    }
 }
 
 /// A resolved acquisition target.
@@ -145,78 +110,18 @@ struct Span {
     end: (u32, u32),
 }
 
-/// Shortest-chain taint, mirroring `graph::Taint`.
-#[derive(Clone)]
-struct Tnt {
-    dist: u32,
-    via: Option<usize>,
-    site: String,
+const BLOCKING: &str = "blocking-under-lock";
+
+fn finding(file: &str, line: u32, col: u32, rule: &'static str, message: String) -> Finding {
+    Finding { file: file.to_string(), line, col, rule, message }
 }
 
-fn is_test_unit(path: &str) -> bool {
-    path.split('/').any(|c| c == "tests" || c == "benches")
-}
-
-/// `Some(covering line)` when a line-allow set covers a finding at `line`
-/// (same line or the line directly above).
-fn covered(set: &BTreeSet<u32>, line: u32) -> Option<u32> {
-    if set.contains(&line) {
-        Some(line)
-    } else if line > 0 && set.contains(&(line - 1)) {
-        Some(line - 1)
-    } else {
-        None
-    }
-}
-
-/// Finding sink that applies file- and line-scope allows and records usage.
-struct Sink<'a> {
-    allows: &'a BTreeMap<String, ConcAllows>,
-    findings: Vec<Finding>,
-    used_lines: BTreeSet<(String, u32, String)>,
-    used_files: BTreeSet<(String, String)>,
-}
-
-impl Sink<'_> {
-    /// Emits unless an allow suppresses; returns `true` when suppressed.
-    fn emit(&mut self, file: &str, line: u32, col: u32, rule: &'static str, message: String) -> bool {
-        if let Some(ca) = self.allows.get(file) {
-            let (set, file_flag) = match rule {
-                "blocking-under-lock" => (&ca.blocking, ca.blocking_file),
-                "lock-order" => (&ca.order, ca.order_file),
-                _ => (&ca.condvar, ca.condvar_file),
-            };
-            if file_flag {
-                self.used_files.insert((file.to_string(), rule.to_string()));
-                return true;
-            }
-            if let Some(l) = covered(set, line) {
-                self.used_lines.insert((file.to_string(), l, rule.to_string()));
-                return true;
-            }
-        }
-        self.findings.push(Finding { file: file.to_string(), line, col, rule, message });
-        false
-    }
-}
-
-/// Runs the concurrency pass over the same `units` slice that built `g`.
-pub fn analyze(
-    units: &[FileUnit<'_>],
-    g: &Graph,
-    allows: &BTreeMap<String, ConcAllows>,
-) -> LockAnalysis {
-    // Node alignment: graph::build pushes one node per (unit, fn) in order.
-    let mut refs: Vec<(usize, &FnDef)> = Vec::new();
-    for (ui, u) in units.iter().enumerate() {
-        for def in &u.parsed.fns {
-            refs.push((ui, def));
-        }
-    }
-    if refs.len() != g.nodes.len() {
-        return LockAnalysis::default();
-    }
-    let n = refs.len();
+/// Runs the concurrency pass over the same `units` slice that built `g`;
+/// the ledger answers the three rules' allows.
+pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalysis {
+    let n = g.nodes.len();
+    let defs: Vec<&FnDef> = (0..n).map(|i| g.def(units, i)).collect();
+    let mut findings: Vec<Finding> = Vec::new();
 
     // ---- lock inventory ----
     let mut locks: Vec<LockDef> = Vec::new();
@@ -225,22 +130,18 @@ pub fn analyze(
     let mut field_cv: HashMap<(String, String, String), usize> = HashMap::new();
     let mut static_lock: HashMap<(String, String), usize> = HashMap::new();
     let mut static_cv: HashMap<(String, String), usize> = HashMap::new();
-    let mut fields: HashMap<(String, String), HashMap<String, String>> = HashMap::new();
-    let mut struct_home: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let fields = &g.fields;
+    let mut struct_home: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (kr, ty) in fields.keys() {
+        struct_home.entry(ty).or_default().insert(kr);
+    }
     // Condvar → first Mutex/RwLock field of the same struct.
     let mut cv_pair: HashMap<usize, usize> = HashMap::new();
 
-    for u in units {
-        if is_test_unit(u.path) {
-            continue;
-        }
+    let lib_units = || units.iter().filter(|u| !is_test_path(u.path));
+    for u in lib_units() {
         let krate = crate_of(u.path);
         for st in &u.parsed.structs {
-            let entry = fields.entry((krate.clone(), st.name.clone())).or_default();
-            for (f, t) in &st.fields {
-                entry.entry(f.clone()).or_insert_with(|| t.clone());
-            }
-            struct_home.entry(st.name.clone()).or_default().insert(krate.clone());
             for (fname, kind) in &st.lock_fields {
                 let key = (krate.clone(), st.name.clone(), fname.clone());
                 let def = LockDef {
@@ -281,10 +182,7 @@ pub fn analyze(
             }
         }
     }
-    for u in units {
-        if is_test_unit(u.path) {
-            continue;
-        }
+    for u in lib_units() {
         let krate = crate_of(u.path);
         for st in &u.parsed.structs {
             let first_lock = st
@@ -308,14 +206,13 @@ pub fn analyze(
     }
 
     // ---- target resolution ----
-    let resolve = |ui: usize, def: &FnDef, target: &str, line: u32| -> Option<Res> {
+    let resolve = |krate: &str, def: &FnDef, target: &str, line: u32| -> Option<Res> {
         if target.is_empty() {
             return None;
         }
-        let krate = crate_of(units[ui].path);
         let parts: Vec<&str> = target.split('.').collect();
         if parts.len() == 1 {
-            let key = (krate.clone(), parts[0].to_string());
+            let key = (krate.to_string(), parts[0].to_string());
             if let Some(&i) = static_lock.get(&key) {
                 return Some(Res::Lock(i));
             }
@@ -346,13 +243,13 @@ pub fn analyze(
         } else {
             local_type(def, parts[0], line)?
         };
-        let mut kr = krate;
+        let mut kr = krate.to_string();
         for (w, part) in parts.iter().enumerate().skip(1) {
             // Locate the struct (same crate first, else its unique home).
             let home = if fields.contains_key(&(kr.clone(), ty.clone())) {
                 kr.clone()
             } else {
-                struct_home.get(&ty)?.iter().next()?.clone()
+                struct_home.get(ty.as_str())?.iter().next()?.to_string()
             };
             if w == parts.len() - 1 {
                 let key = (home, ty, (*part).to_string());
@@ -372,11 +269,11 @@ pub fn analyze(
 
     // ---- per-node facts: direct acquires, condvar sites ----
     let mut direct: Vec<Vec<Ev>> = Vec::with_capacity(n);
-    for (i, (ui, def)) in refs.iter().enumerate() {
+    for (i, def) in defs.iter().enumerate() {
         let mut evs = Vec::new();
         if let Some(body) = &def.body {
             for a in &body.acquires {
-                if let Some(Res::Lock(l)) = resolve(*ui, def, &a.target, a.line) {
+                if let Some(Res::Lock(l)) = resolve(&g.nodes[i].krate, def, &a.target, a.line) {
                     evs.push(Ev {
                         pos: (a.line, a.col),
                         lock: l,
@@ -395,7 +292,7 @@ pub fn analyze(
     let mut provided: Vec<Option<Option<usize>>> = vec![None; n];
     fn provider_of(
         i: usize,
-        refs: &[(usize, &FnDef)],
+        defs: &[&FnDef],
         g: &Graph,
         direct: &[Vec<Ev>],
         provided: &mut Vec<Option<Option<usize>>>,
@@ -404,14 +301,14 @@ pub fn analyze(
         if let Some(memo) = provided[i] {
             return memo;
         }
-        if !refs[i].1.returns_guard || !visiting.insert(i) {
+        if !defs[i].returns_guard || !visiting.insert(i) {
             return None;
         }
         let mut out = direct[i].first().map(|e| e.lock);
         if out.is_none() {
             'calls: for call in &g.nodes[i].resolved_calls {
                 for &t in &call.targets {
-                    if let Some(l) = provider_of(t, refs, g, direct, provided, visiting) {
+                    if let Some(l) = provider_of(t, defs, g, direct, provided, visiting) {
                         out = Some(l);
                         break 'calls;
                     }
@@ -424,12 +321,12 @@ pub fn analyze(
     }
     for i in 0..n {
         let mut visiting = HashSet::new();
-        provider_of(i, &refs, g, &direct, &mut provided, &mut visiting);
+        provider_of(i, &defs, g, &direct, &mut provided, &mut visiting);
     }
 
     // ---- guard spans: events matched to their innermost `let` binding ----
     let mut spans: Vec<Vec<Span>> = Vec::with_capacity(n);
-    for (i, (_ui, def)) in refs.iter().enumerate() {
+    for (i, def) in defs.iter().enumerate() {
         let mut out: Vec<Span> = Vec::new();
         if let Some(body) = &def.body {
             // Acquisition events: direct acquires plus guard-provider calls.
@@ -483,37 +380,12 @@ pub fn analyze(
     }
 
     // ---- blocking seeds (allow-defused) + fn barriers ----
-    let mut barrier_b: Vec<Option<u32>> = vec![None; n]; // allow line, or u32::MAX for file scope
+    let mut barrier_b: Vec<Option<BarrierFrom>> = vec![None; n];
     let mut live_blocking: Vec<Vec<(u32, u32, String)>> = vec![Vec::new(); n];
     let mut raw_site_count: Vec<usize> = vec![0; n];
-    let mut sink = Sink {
-        allows,
-        findings: Vec::new(),
-        used_lines: BTreeSet::new(),
-        used_files: BTreeSet::new(),
-    };
-    for (i, (_ui, def)) in refs.iter().enumerate() {
+    for (i, def) in defs.iter().enumerate() {
         let file = &g.nodes[i].file;
-        let ca = allows.get(file.as_str());
-        if let Some(ca) = ca {
-            if ca.blocking_file {
-                barrier_b[i] = Some(u32::MAX);
-            } else {
-                for cand in [
-                    def.attach_line.checked_sub(1),
-                    Some(def.attach_line),
-                    Some(def.line),
-                ]
-                .into_iter()
-                .flatten()
-                {
-                    if ca.blocking.contains(&cand) {
-                        barrier_b[i] = Some(cand);
-                        break;
-                    }
-                }
-            }
-        }
+        barrier_b[i] = ledger.fn_barrier(file, BLOCKING, def);
         let Some(body) = &def.body else { continue };
         let mut sites: Vec<(u32, u32, String)> = body
             .blocking
@@ -527,117 +399,40 @@ pub fn analyze(
         }
         sites.sort();
         raw_site_count[i] = sites.len();
-        for (line, col, what) in sites {
-            if barrier_b[i].is_some() {
-                continue;
-            }
-            if let Some(ca) = ca {
-                if let Some(l) = covered(&ca.blocking, line) {
-                    sink.used_lines.insert((
-                        file.clone(),
-                        l,
-                        "blocking-under-lock".to_string(),
-                    ));
-                    continue;
-                }
-            }
-            live_blocking[i].push((line, col, what));
+        if barrier_b[i].is_none() {
+            live_blocking[i] = sites
+                .into_iter()
+                .filter(|&(line, _, _)| ledger.covers(file, BLOCKING, line).is_none())
+                .collect();
         }
     }
 
-    // ---- reverse call edges ----
-    let mut rev: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, node) in g.nodes.iter().enumerate() {
-        for &c in &node.callees {
-            rev[c].push(i);
-        }
-    }
-    for r in &mut rev {
-        r.sort_unstable();
-        r.dedup();
-    }
-
-    // ---- per-lock acquire taint (multi-source BFS, shortest chains) ----
-    let mut acq: Vec<Vec<Option<Tnt>>> = vec![vec![None; n]; locks.len()];
-    for (l, taint) in acq.iter_mut().enumerate() {
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        for i in 0..n {
-            if g.nodes[i].is_test {
-                continue;
-            }
-            if let Some(ev) = direct[i].iter().find(|e| e.lock == l) {
-                taint[i] = Some(Tnt { dist: 0, via: None, site: ev.desc.clone() });
-                queue.push_back(i);
-            }
-        }
-        while let Some(cur) = queue.pop_front() {
-            let dist = taint[cur].as_ref().map_or(0, |t| t.dist);
-            for &caller in &rev[cur] {
-                if taint[caller].is_some() || g.nodes[caller].is_test {
-                    continue;
-                }
-                taint[caller] = Some(Tnt { dist: dist + 1, via: Some(cur), site: String::new() });
-                queue.push_back(caller);
-            }
-        }
-    }
-
-    // ---- blocking taint (barriers stop seeding and propagation) ----
-    let mut blk: Vec<Option<Tnt>> = vec![None; n];
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    for i in 0..n {
-        if barrier_b[i].is_some() || g.nodes[i].is_test {
-            continue;
-        }
-        if let Some((line, _col, what)) = live_blocking[i].first() {
-            blk[i] = Some(Tnt {
-                dist: 0,
-                via: None,
-                site: format!("{} ({}:{})", what, g.nodes[i].file, line),
+    // ---- per-lock acquire taint and blocking taint (shortest chains) ----
+    let acq: Vec<Vec<Option<Witness>>> = (0..locks.len())
+        .map(|l| {
+            let seeds = (0..n).filter_map(|i| {
+                direct[i].iter().find(|e| e.lock == l).map(|ev| (i, ev.desc.clone()))
             });
-            queue.push_back(i);
-        }
-    }
-    while let Some(cur) = queue.pop_front() {
-        let dist = blk[cur].as_ref().map_or(0, |t| t.dist);
-        for &caller in &rev[cur] {
-            if blk[caller].is_some() || barrier_b[caller].is_some() || g.nodes[caller].is_test {
-                continue;
-            }
-            blk[caller] = Some(Tnt { dist: dist + 1, via: Some(cur), site: String::new() });
-            queue.push_back(caller);
-        }
-    }
-
-    let chain = |taint: &[Option<Tnt>], from: usize| -> String {
-        let mut parts = Vec::new();
-        let mut cur = from;
-        for _ in 0..64 {
-            parts.push(g.nodes[cur].id.clone());
-            match &taint[cur] {
-                Some(t) => match t.via {
-                    Some(nxt) => cur = nxt,
-                    None => {
-                        parts.push(t.site.clone());
-                        break;
-                    }
-                },
-                None => break,
-            }
-        }
-        parts.join(" → ")
-    };
+            g.reach(seeds, |i| g.nodes[i].is_test)
+        })
+        .collect();
+    let blk_seeds = (0..n).filter_map(|i| {
+        live_blocking[i]
+            .first()
+            .map(|(line, _col, what)| (i, format!("{} ({}:{})", what, g.nodes[i].file, line)))
+    });
+    let blk = g.reach(blk_seeds, |i| barrier_b[i].is_some() || g.nodes[i].is_test);
 
     // ---- edges + blocking findings over live spans ----
     let mut edge_map: BTreeMap<(usize, usize), LockEdge> = BTreeMap::new();
-    let mut barrier_suppressed: Vec<usize> = vec![0; n];
+    let mut barrier_suppressed: Vec<bool> = vec![false; n];
     let in_span = |s: &Span, pos: (u32, u32)| s.start < pos && pos <= s.end;
     for i in 0..n {
         if g.nodes[i].is_test {
             continue;
         }
         let file = g.nodes[i].file.clone();
-        let (_ui, def) = refs[i];
+        let def = defs[i];
         let mut add_edge = |from: usize, to: usize, line: u32, col: u32, witness: String| {
             let e = edge_map.entry((from, to)).or_insert_with(|| LockEdge {
                 from,
@@ -682,7 +477,7 @@ pub fn analyze(
                         .filter(|&&t| taint[t].is_some())
                         .min_by_key(|&&t| (taint[t].as_ref().map_or(u32::MAX, |x| x.dist), t));
                     if let Some(&t) = best {
-                        let w = chain(taint, t);
+                        let w = g.chain(taint, t, false);
                         add_edge(s.lock, l, pos.0, pos.1, w.clone());
                         if !hit_lock {
                             hit_lock = true;
@@ -709,7 +504,7 @@ pub fn analyze(
                             pos.1,
                             format!(
                                 "call can block while holding {} (guard `{}`): {}",
-                                locks[s.lock].id, s.bind, chain(&blk, t)
+                                locks[s.lock].id, s.bind, g.chain(&blk, t, false)
                             ),
                         ));
                     }
@@ -754,53 +549,37 @@ pub fn analyze(
         }
         block_findings.sort();
         block_findings.dedup();
+        if barrier_b[i].is_some() {
+            barrier_suppressed[i] = !block_findings.is_empty();
+            continue;
+        }
         for (line, col, msg) in block_findings {
-            if barrier_b[i].is_some() {
-                barrier_suppressed[i] += 1;
-                continue;
-            }
-            sink.emit(&g.nodes[i].file, line, col, "blocking-under-lock", msg);
+            findings.push(finding(&file, line, col, BLOCKING, msg));
         }
     }
 
-    // ---- blocking barrier / file-allow usage (load-bearing only) ----
+    // ---- blocking barrier usage (load-bearing only) ----
     for i in 0..n {
-        let stops_callee = g.nodes[i]
-            .callees
-            .iter()
-            .any(|&c| blk[c].is_some() && barrier_b[c].is_none());
-        let load_bearing =
-            raw_site_count[i] > 0 || stops_callee || barrier_suppressed[i] > 0;
-        if !load_bearing {
-            continue;
-        }
-        match barrier_b[i] {
-            Some(u32::MAX) => {
-                sink.used_files
-                    .insert((g.nodes[i].file.clone(), "blocking-under-lock".to_string()));
-            }
-            Some(l) => {
-                sink.used_lines.insert((
-                    g.nodes[i].file.clone(),
-                    l,
-                    "blocking-under-lock".to_string(),
-                ));
-            }
-            None => {}
+        let Some(b) = barrier_b[i] else { continue };
+        let stops_callee = g.nodes[i].callees.iter().any(|&c| blk[c].is_some());
+        if raw_site_count[i] > 0 || stops_callee || barrier_suppressed[i] {
+            ledger.mark_barrier(&g.nodes[i].file, BLOCKING, b);
         }
     }
 
     // ---- condvar-discipline ----
-    for (i, (ui, def)) in refs.iter().enumerate() {
+    for (i, def) in defs.iter().enumerate() {
         if g.nodes[i].is_test {
             continue;
         }
         let Some(body) = &def.body else { continue };
         for cv in &body.condvars {
-            let Some(Res::Cv(c)) = resolve(*ui, def, &cv.target, cv.line) else { continue };
+            let Some(Res::Cv(c)) = resolve(&g.nodes[i].krate, def, &cv.target, cv.line) else {
+                continue;
+            };
             match cv.method.as_str() {
                 "wait" | "wait_timeout" if !cv.in_loop => {
-                    sink.emit(
+                    findings.push(finding(
                         &g.nodes[i].file,
                         cv.line,
                         cv.col,
@@ -809,7 +588,7 @@ pub fn analyze(
                             "Condvar::{} on {} outside a predicate-rechecking loop; a spurious or lost wakeup proceeds on a stale predicate — use `while !pred {{ guard = cv.{}(guard)… }}`",
                             cv.method, condvars[c].id, cv.method
                         ),
-                    );
+                    ));
                 }
                 "notify_one" | "notify_all" => {
                     let Some(&pair) = cv_pair.get(&c) else { continue };
@@ -817,7 +596,7 @@ pub fn analyze(
                         .iter()
                         .any(|s| s.lock == pair && in_span(s, (cv.line, cv.col)));
                     if !held {
-                        sink.emit(
+                        findings.push(finding(
                             &g.nodes[i].file,
                             cv.line,
                             cv.col,
@@ -826,7 +605,7 @@ pub fn analyze(
                                 "advisory: {} on {} without holding its paired mutex {}; ensure waiters re-check the predicate under the lock",
                                 cv.method, condvars[c].id, locks[pair].id
                             ),
-                        );
+                        ));
                     }
                 }
                 _ => {}
@@ -855,8 +634,8 @@ pub fn analyze(
             .iter()
             .map(|e| format!("[{} → {}] {}", locks[e.from].id, locks[e.to].id, e.witness))
             .collect();
-        sink.emit(
-            &anchor.file.clone(),
+        findings.push(finding(
+            &anchor.file,
             anchor.line,
             anchor.col,
             "lock-order",
@@ -866,8 +645,9 @@ pub fn analyze(
                 ring[0],
                 witnesses.join("; ")
             ),
-        );
+        ));
     }
+    findings.retain(|f| !ledger.suppress(f));
 
     // ---- max held-set depth ----
     let mut memo: Vec<Option<usize>> = vec![None; n];
@@ -920,9 +700,7 @@ pub fn analyze(
         edges,
         cycles,
         max_held_depth,
-        findings: sink.findings,
-        used_allow_lines: sink.used_lines,
-        used_file_allows: sink.used_files,
+        findings,
     }
 }
 

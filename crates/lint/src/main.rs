@@ -70,14 +70,9 @@ sanitizers (what cleans a flow):\n\
     hatch is stale-allow accounted, so an unused trust is itself a finding\n\
   - NOT sanitizers: `checked_mul`/`saturating_*` (they prevent overflow,\n\
     not magnitude)\n";
-    let chain = |sink: &str| {
-        format!(
-            "\nexample witness chain:\n\
-             \x20 untrusted bytes `bytes: &[u8]` (crates/nn/src/serialize.rs:98)\n\
-             \x20   → nn::load_params → nn::read_params_body\n\
-             \x20   → {sink}\n"
-        )
-    };
+    // Verbatim witnesses of the `taint_flow.rs` fixture flows, as
+    // `cmr-lint crates/lint/fixtures` reports them.
+    let chain = |witness: &str| format!("\nexample witness chain:\n  {witness}\n");
     match rule {
         "untrusted-length" => Ok(format!(
             "untrusted-length: a network/disk-derived value reaches an\n\
@@ -86,7 +81,11 @@ sanitizers (what cleans a flow):\n\
              `set_len` arguments and `vec![elem; len]` lengths. A hostile\n\
              length field that reaches one of these before validation is an\n\
              OOM abort waiting to happen.\n\n{taint_model}{}",
-            chain("Vec::with_capacity(count) (crates/nn/src/serialize.rs:131)")
+            chain(
+                "untrusted bytes `raw: &[u8]` (crates/lint/fixtures/taint_flow.rs:55) \
+                 → lint::deep_flow → lint::inner_alloc \
+                 → Vec::with_capacity(count) (crates/lint/fixtures/taint_flow.rs:61)"
+            )
         )),
         "untrusted-index" => Ok(format!(
             "untrusted-index: a network/disk-derived value reaches an\n\
@@ -94,7 +93,10 @@ sanitizers (what cleans a flow):\n\
              sinks: slice index/range operands (`buf[n]`, `&buf[..n]`,\n\
              `buf[a..b]`) and `split_at` / `split_at_mut` arguments. An\n\
              unvalidated offset panics (or worse) on hostile input.\n\n{taint_model}{}",
-            chain("slice index [n] (crates/nn/src/serialize.rs:154)")
+            chain(
+                "untrusted bytes `data: &[u8]` (crates/lint/fixtures/taint_flow.rs:18) \
+                 → lint::index_flow → slice index [i] (crates/lint/fixtures/taint_flow.rs:20)"
+            )
         )),
         _ => RULES
             .iter()

@@ -10,12 +10,19 @@
 //! Suppression comes in three scopes, all requiring a reason:
 //!
 //! * `// cmr-lint: allow(rule-id) reason` — same line or the line directly
-//!   below; on a `fn` declaration an `allow(panic-path)` makes the fn a
-//!   *barrier* (documented panic, never taints callers).
+//!   below; on a `fn` declaration an `allow(panic-path)` (or
+//!   `allow(blocking-under-lock)`) makes the fn a *barrier* (documented
+//!   panic or block, never taints callers).
 //! * `// cmr-lint: allow-file(rule-id) reason` — whole file; meant for
 //!   kernel-dense files where per-line indexing allows would drown the code.
 //! * An allow that suppresses nothing is itself a finding (`stale-allow`),
 //!   so the exemption inventory shrinks as code is hardened.
+//!
+//! Every directive lives in one [`Ledger`]. Token rules, the call graph, the
+//! lock pass and the taint pass all ask it the same two questions —
+//! `Ledger::covers` for a finding site and `Ledger::fn_barrier` for a
+//! function — and it marks the directives that answered, which is all
+//! `stale-allow` needs.
 //!
 //! | id | what it enforces |
 //! |----|------------------|
@@ -33,7 +40,7 @@
 
 // cmr-lint: allow-file(panic-path) token indices come from the lexer that produced the buffer; bounds hold by construction
 
-use crate::graph::{self, FileUnit, PanicAllows};
+use crate::graph::{self, BarrierFrom, FieldMap, FileUnit};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::locks;
 use crate::taint;
@@ -100,21 +107,119 @@ pub struct SourceFile {
 }
 
 /// Scope of an allow directive.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum AllowScope {
-    /// `allow(rule)`: own line plus the line directly below.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AllowScope {
+    /// `allow(rule)` / `trust(…)`: own line plus the line directly below.
     Line,
     /// `allow-file(rule)`: the whole file.
     File,
 }
 
 /// A parsed, valid allow directive with usage tracking for `stale-allow`.
-struct Allow {
-    rule: String,
-    line: u32,
-    col: u32,
-    scope: AllowScope,
+pub struct Allow {
+    /// Rule id the directive names (`trust` for `trust(…)`).
+    pub rule: String,
+    /// 1-based line of the directive comment.
+    pub line: u32,
+    /// 1-based column of the directive comment.
+    pub col: u32,
+    /// Line or file scope.
+    pub scope: AllowScope,
     used: Cell<bool>,
+}
+
+impl Allow {
+    /// Did the directive suppress or defuse at least one thing?
+    pub fn used(&self) -> bool {
+        self.used.get()
+    }
+
+    /// Does the directive speak for a `rule` finding? Besides its own rule,
+    /// a `trust(…)` covers both taint rules, and a line
+    /// `allow(no-panic-lib)` also defuses panic-path sites and barriers.
+    fn accepts(&self, rule: &str) -> bool {
+        self.rule == rule
+            || self.scope == AllowScope::Line
+                && matches!(
+                    (self.rule.as_str(), rule),
+                    ("trust", "untrusted-length" | "untrusted-index")
+                        | ("no-panic-lib", "panic-path")
+                )
+    }
+}
+
+/// The allow ledger: every valid directive of the scanned files, queried by
+/// every rule and marking the directives that were load-bearing.
+#[derive(Default)]
+pub struct Ledger {
+    files: BTreeMap<String, Vec<Allow>>,
+}
+
+impl Ledger {
+    /// Records `path`'s directives from its tokens; malformed ones become
+    /// findings instead of silently suppressing anything.
+    pub(crate) fn add_file(&mut self, path: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
+        let allows = collect_allows(path, tokens, findings);
+        self.files.entry(path.to_string()).or_default().extend(allows);
+    }
+
+    /// Every directive with its file, by path then source order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Allow)> {
+        self.files.iter().flat_map(|(f, v)| v.iter().map(move |a| (f.as_str(), a)))
+    }
+
+    /// The directive that suppresses a `rule` finding at `file:line`: a
+    /// file-scope one, else the first line-scope one on that line or the
+    /// line directly above. Marks every covering directive used.
+    pub(crate) fn covers(&self, file: &str, rule: &str, line: u32) -> Option<&Allow> {
+        let mut hit: Option<&Allow> = None;
+        for a in self.files.get(file)?.iter().filter(|a| a.accepts(rule)) {
+            let on = a.scope == AllowScope::File || a.line == line || a.line + 1 == line;
+            if on {
+                a.used.set(true);
+                if hit.is_none_or(|h| h.scope == AllowScope::Line && a.scope == AllowScope::File)
+                {
+                    hit = Some(a);
+                }
+            }
+        }
+        hit
+    }
+
+    /// [`Ledger::covers`] for a finding: `true` when it is suppressed.
+    pub(crate) fn suppress(&self, f: &Finding) -> bool {
+        self.covers(&f.file, f.rule, f.line).is_some()
+    }
+
+    /// Is `def` a barrier for `rule`: a file-scope directive, or a line one
+    /// on the fn's attribute block, the line above it, or the name line?
+    /// Nothing is marked; see [`Ledger::mark_barrier`].
+    pub(crate) fn fn_barrier(&self, file: &str, rule: &str, def: &FnDef) -> Option<BarrierFrom> {
+        let allows = self.files.get(file)?;
+        if allows.iter().any(|a| a.scope == AllowScope::File && a.accepts(rule)) {
+            return Some(BarrierFrom::File);
+        }
+        [def.attach_line.checked_sub(1), Some(def.attach_line), Some(def.line)]
+            .into_iter()
+            .flatten()
+            .find(|&l| {
+                allows.iter().any(|a| a.scope == AllowScope::Line && a.line == l && a.accepts(rule))
+            })
+            .map(BarrierFrom::Line)
+    }
+
+    /// Marks the directives behind a barrier that turned out load-bearing.
+    pub(crate) fn mark_barrier(&self, file: &str, rule: &str, barrier: BarrierFrom) {
+        for a in self.files.get(file).into_iter().flatten().filter(|a| a.accepts(rule)) {
+            let on = match barrier {
+                BarrierFrom::File => a.scope == AllowScope::File,
+                BarrierFrom::Line(l) => a.scope == AllowScope::Line && a.line == l,
+            };
+            if on {
+                a.used.set(true);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -125,7 +230,8 @@ fn has_component(path: &str, comp: &str) -> bool {
     path.split('/').any(|c| c == comp)
 }
 
-fn is_test_path(path: &str) -> bool {
+/// Test or bench code: a `tests` or `benches` path component.
+pub(crate) fn is_test_path(path: &str) -> bool {
     has_component(path, "tests") || has_component(path, "benches")
 }
 
@@ -161,12 +267,6 @@ fn env_var_allowed(path: &str) -> bool {
 // Test-region detection
 // ---------------------------------------------------------------------------
 
-/// Does an attribute token mark the following item as test-only?
-/// Matches `#[test]` and any `#[cfg(…test…)]` that is not `not(test)`.
-fn attr_is_test(text: &str) -> bool {
-    parser::attr_is_test(text)
-}
-
 /// Token-index ranges (inclusive start, exclusive end) covered by test-only
 /// items: a `#[test]`/`#[cfg(test)]` attribute followed by a braced item.
 fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
@@ -175,7 +275,7 @@ fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
     while i < tokens.len() {
         let t = &tokens[i];
         if let TokenKind::Attr { inner: false } = t.kind {
-            if attr_is_test(&t.text) {
+            if parser::attr_is_test(&t.text) {
                 // Find the item's opening brace; a `;` first means the item
                 // has no body (e.g. `#[cfg(test)] use …;` / `mod tests;`).
                 let mut j = i + 1;
@@ -309,26 +409,6 @@ fn collect_allows(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) -> 
         allows.push(Allow { rule, line: t.line, col: t.col, scope, used: Cell::new(false) });
     }
     allows
-}
-
-/// A finding is suppressed by a valid allow for its rule on the same line,
-/// on the line directly above (a stand-alone allow comment), or anywhere in
-/// the file for an `allow-file`. Every matching allow is marked *used* so
-/// `stale-allow` can flag the rest.
-fn suppress(allows: &[Allow], finding: &Finding) -> bool {
-    let mut hit = false;
-    for a in allows {
-        let matches = a.rule == finding.rule
-            && match a.scope {
-                AllowScope::Line => a.line == finding.line || a.line + 1 == finding.line,
-                AllowScope::File => true,
-            };
-        if matches {
-            a.used.set(true);
-            hit = true;
-        }
-    }
-    hit
 }
 
 // ---------------------------------------------------------------------------
@@ -595,11 +675,11 @@ fn cast_lossiness(src: &CastSrc, src_ty: Option<&str>, dst: &str) -> Option<Stri
 /// Resolves the source type tail of a cast whose operand was an identifier
 /// (or `recv.field`) using the fn's typed locals/params and the workspace
 /// struct-field map.
-fn resolve_cast_src_ty<'a>(
-    cast: &'a CastSite,
+fn resolve_cast_src_ty(
+    cast: &CastSite,
     def: &FnDef,
     krate: &str,
-    fields: &'a BTreeMap<(String, String), BTreeMap<String, String>>,
+    fields: &FieldMap,
 ) -> Option<String> {
     let CastSrc::Ty(t) = &cast.src else { return None };
     let Some(rest) = t.strip_prefix("?ident:") else { return Some(t.clone()) };
@@ -620,7 +700,7 @@ fn resolve_cast_src_ty<'a>(
 fn rule_lossy_cast(
     path: &str,
     parsed: &ParsedFile,
-    fields: &BTreeMap<(String, String), BTreeMap<String, String>>,
+    fields: &FieldMap,
     findings: &mut Vec<Finding>,
 ) {
     if is_test_path(path) || is_example_path(path) {
@@ -768,6 +848,8 @@ pub struct Analysis {
     pub allows_total: usize,
     /// Allow directives that suppressed or defused at least one thing.
     pub allows_used: usize,
+    /// Every allow directive with its usage.
+    pub ledger: Ledger,
     /// The workspace call graph (panic propagation already run).
     pub graph: graph::Graph,
     /// The concurrency pass result (lock inventory, order edges, cycles).
@@ -782,9 +864,10 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
     analyze(files).findings
 }
 
-/// Runs the full pipeline: lex, token rules, parse, lossy-cast, call-graph
-/// build + panic propagation, panic-path / unused-result findings,
-/// op-coverage, and finally stale-allow over the whole allow inventory.
+/// Runs the full pipeline: lex, token rules, parse, call-graph build +
+/// panic propagation, lossy-cast, panic-path / unused-result findings,
+/// op-coverage, the lock and taint passes, and finally stale-allow over the
+/// whole allow ledger.
 ///
 /// The cross-file `op-coverage` rule runs when the set contains
 /// [`OP_PATH`]; its findings are suppressible by allow comments in that
@@ -792,12 +875,10 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
 pub fn analyze(files: &[SourceFile]) -> Analysis {
     let mut findings = Vec::new();
     let mut tokens_by_file: Vec<Option<Vec<Token>>> = Vec::with_capacity(files.len());
-    let mut allows_by_file: Vec<Vec<Allow>> = Vec::with_capacity(files.len());
-    let mut by_path: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut ledger = Ledger::default();
 
     // ---- lex + allows + token rules ----
-    for (fi, file) in files.iter().enumerate() {
-        by_path.insert(&file.path, fi);
+    for file in files {
         let tokens = match lex(&file.src) {
             Ok(t) => t,
             Err(e) => {
@@ -809,12 +890,11 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
                     message: e.message,
                 });
                 tokens_by_file.push(None);
-                allows_by_file.push(Vec::new());
                 continue;
             }
         };
         let mut raw = Vec::new();
-        let allows = collect_allows(&file.path, &tokens, &mut raw);
+        ledger.add_file(&file.path, &tokens, &mut raw);
         let ctx = FileCtx {
             path: &file.path,
             code: code_tokens(&tokens),
@@ -828,55 +908,15 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
         rule_env_centralization(&ctx, &mut raw);
         rule_no_println_lib(&ctx, &mut raw);
         rule_float_eq(&ctx, &mut raw);
-        findings.extend(raw.into_iter().filter(|f| !suppress(&allows, f)));
+        findings.extend(raw.into_iter().filter(|f| !ledger.suppress(f)));
         tokens_by_file.push(Some(tokens));
-        allows_by_file.push(allows);
     }
 
-    // ---- parse ----
+    // ---- parse + call graph + panic propagation ----
     let parsed_by_file: Vec<Option<ParsedFile>> = tokens_by_file
         .iter()
         .map(|t| t.as_ref().map(|toks| parser::parse(toks)))
         .collect();
-
-    // ---- struct-field map for cast-source typing ----
-    let mut fields: BTreeMap<(String, String), BTreeMap<String, String>> = BTreeMap::new();
-    for (fi, parsed) in parsed_by_file.iter().enumerate() {
-        let Some(p) = parsed else { continue };
-        let krate = graph::crate_of(&files[fi].path);
-        for st in &p.structs {
-            let entry = fields.entry((krate.clone(), st.name.clone())).or_default();
-            for (f, t) in &st.fields {
-                entry.entry(f.clone()).or_insert_with(|| t.clone());
-            }
-        }
-    }
-
-    // ---- lossy-cast ----
-    for (fi, parsed) in parsed_by_file.iter().enumerate() {
-        let Some(p) = parsed else { continue };
-        let mut raw = Vec::new();
-        rule_lossy_cast(&files[fi].path, p, &fields, &mut raw);
-        findings.extend(raw.into_iter().filter(|f| !suppress(&allows_by_file[fi], f)));
-    }
-
-    // ---- call graph + panic propagation ----
-    let mut panic_allows: BTreeMap<String, PanicAllows> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        let mut pa = PanicAllows::default();
-        for a in &allows_by_file[fi] {
-            match a.scope {
-                AllowScope::Line if a.rule == "panic-path" || a.rule == "no-panic-lib" => {
-                    pa.lines.insert(a.line);
-                }
-                AllowScope::File if a.rule == "panic-path" => pa.file_scope = true,
-                _ => {}
-            }
-        }
-        if !pa.lines.is_empty() || pa.file_scope {
-            panic_allows.insert(file.path.clone(), pa);
-        }
-    }
     let units: Vec<FileUnit> = files
         .iter()
         .zip(parsed_by_file.iter())
@@ -890,7 +930,14 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
             })
         })
         .collect();
-    let g = graph::build(&units, &panic_allows);
+    let g = graph::build(&units, &ledger);
+
+    // ---- lossy-cast ----
+    for u in &units {
+        let mut raw = Vec::new();
+        rule_lossy_cast(u.path, u.parsed, &g.fields, &mut raw);
+        findings.extend(raw.into_iter().filter(|f| !ledger.suppress(f)));
+    }
 
     // ---- panic-path findings (suppression is the barrier/defuse system) ----
     for (i, node) in g.nodes.iter().enumerate() {
@@ -898,14 +945,14 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
             && node.in_lib
             && !node.is_test
             && node.barrier.is_none()
-            && node.taint.is_some()
+            && g.panic[i].is_some()
         {
             findings.push(Finding {
                 file: node.file.clone(),
                 line: node.line,
                 col: node.col,
                 rule: "panic-path",
-                message: format!("pub fn can reach a panic: {}", g.chain_of(i)),
+                message: format!("pub fn can reach a panic: {}", g.chain(&g.panic, i, false)),
             });
         }
     }
@@ -926,161 +973,50 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
                 d.callee_name
             ),
         };
-        let fi = by_path.get(d.file.as_str()).copied();
-        if fi.is_none_or(|fi| !suppress(&allows_by_file[fi], &f)) {
+        if !ledger.suppress(&f) {
             findings.push(f);
         }
     }
 
     // ---- op-coverage ----
-    if let Some(&op_fi) = by_path.get(OP_PATH) {
-        if let Some(op_tokens) = &tokens_by_file[op_fi] {
-            let check_tokens = by_path
-                .get(CHECK_PATH)
-                .and_then(|&fi| tokens_by_file[fi].as_deref());
-            let mut raw = Vec::new();
-            rule_op_coverage(op_tokens, check_tokens, &mut raw);
-            findings
-                .extend(raw.into_iter().filter(|f| !suppress(&allows_by_file[op_fi], f)));
-        }
+    let tokens_of = |path: &str| {
+        files.iter().rposition(|f| f.path == path).and_then(|fi| tokens_by_file[fi].as_deref())
+    };
+    if let Some(op_tokens) = tokens_of(OP_PATH) {
+        let mut raw = Vec::new();
+        rule_op_coverage(op_tokens, tokens_of(CHECK_PATH), &mut raw);
+        findings.extend(raw.into_iter().filter(|f| !ledger.suppress(f)));
     }
 
-    // ---- mark graph-used allows (site defuses and load-bearing barriers) ----
-    for (file, line) in &g.used_allow_lines {
-        let Some(&fi) = by_path.get(file.as_str()) else { continue };
-        for a in &allows_by_file[fi] {
-            if a.scope == AllowScope::Line
-                && a.line == *line
-                && (a.rule == "panic-path" || a.rule == "no-panic-lib")
-            {
-                a.used.set(true);
-            }
-        }
-    }
-    for file in &g.used_file_allows {
-        let Some(&fi) = by_path.get(file.as_str()) else { continue };
-        for a in &allows_by_file[fi] {
-            if a.scope == AllowScope::File && a.rule == "panic-path" {
-                a.used.set(true);
-            }
-        }
-    }
-
-    // ---- concurrency pass: lock-order / blocking-under-lock / condvar ----
-    let mut conc_allows: BTreeMap<String, locks::ConcAllows> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        let mut ca = locks::ConcAllows::default();
-        for a in &allows_by_file[fi] {
-            match (a.scope, a.rule.as_str()) {
-                (AllowScope::Line, "blocking-under-lock") => {
-                    ca.blocking.insert(a.line);
-                }
-                (AllowScope::Line, "lock-order") => {
-                    ca.order.insert(a.line);
-                }
-                (AllowScope::Line, "condvar-discipline") => {
-                    ca.condvar.insert(a.line);
-                }
-                (AllowScope::File, "blocking-under-lock") => ca.blocking_file = true,
-                (AllowScope::File, "lock-order") => ca.order_file = true,
-                (AllowScope::File, "condvar-discipline") => ca.condvar_file = true,
-                _ => {}
-            }
-        }
-        if !ca.blocking.is_empty()
-            || !ca.order.is_empty()
-            || !ca.condvar.is_empty()
-            || ca.blocking_file
-            || ca.order_file
-            || ca.condvar_file
-        {
-            conc_allows.insert(file.path.clone(), ca);
-        }
-    }
-    let lock_analysis = locks::analyze(&units, &g, &conc_allows);
-    // Sink already applied file/line allows — extend without re-filtering.
+    // ---- concurrency + taint passes (they consult the ledger themselves) ----
+    let lock_analysis = locks::analyze(&units, &g, &ledger);
     findings.extend(lock_analysis.findings.iter().cloned());
-    for (file, line, rule) in &lock_analysis.used_allow_lines {
-        let Some(&fi) = by_path.get(file.as_str()) else { continue };
-        for a in &allows_by_file[fi] {
-            if a.scope == AllowScope::Line && a.line == *line && a.rule == *rule {
-                a.used.set(true);
-            }
-        }
-    }
-    for (file, rule) in &lock_analysis.used_file_allows {
-        let Some(&fi) = by_path.get(file.as_str()) else { continue };
-        for a in &allows_by_file[fi] {
-            if a.scope == AllowScope::File && a.rule == *rule {
-                a.used.set(true);
-            }
-        }
-    }
-
-    // ---- taint pass: untrusted-length / untrusted-index ----
-    let mut taint_allows: BTreeMap<String, taint::TaintAllows> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        let mut ta = taint::TaintAllows::default();
-        for a in &allows_by_file[fi] {
-            match (a.scope, a.rule.as_str()) {
-                (AllowScope::Line, "trust" | "untrusted-length" | "untrusted-index") => {
-                    ta.lines.push((a.line, a.rule.clone()));
-                }
-                (AllowScope::File, "untrusted-length" | "untrusted-index") => {
-                    ta.file_rules.insert(a.rule.clone());
-                }
-                _ => {}
-            }
-        }
-        if !ta.lines.is_empty() || !ta.file_rules.is_empty() {
-            taint_allows.insert(file.path.clone(), ta);
-        }
-    }
-    let taint_analysis = taint::analyze(&units, &g, &taint_allows);
-    // Sink already applied file/line allows — extend without re-filtering.
+    let taint_analysis = taint::analyze(&units, &g, &ledger);
     findings.extend(taint_analysis.findings.iter().cloned());
-    for (file, line, rule) in &taint_analysis.used_allow_lines {
-        let Some(&fi) = by_path.get(file.as_str()) else { continue };
-        for a in &allows_by_file[fi] {
-            if a.scope == AllowScope::Line && a.line == *line && a.rule == *rule {
-                a.used.set(true);
-            }
-        }
-    }
-    for (file, rule) in &taint_analysis.used_file_allows {
-        let Some(&fi) = by_path.get(file.as_str()) else { continue };
-        for a in &allows_by_file[fi] {
-            if a.scope == AllowScope::File && a.rule == *rule {
-                a.used.set(true);
-            }
-        }
-    }
 
     // ---- stale-allow ----
     let mut allows_total = 0usize;
     let mut allows_used = 0usize;
-    for (fi, allows) in allows_by_file.iter().enumerate() {
-        for a in allows {
-            allows_total += 1;
-            if a.used.get() {
-                allows_used += 1;
-            } else {
-                let form = match a.scope {
-                    AllowScope::Line => "allow",
-                    AllowScope::File => "allow-file",
-                };
-                findings.push(Finding {
-                    file: files[fi].path.clone(),
-                    line: a.line,
-                    col: a.col,
-                    rule: "stale-allow",
-                    message: format!(
-                        "{form}({}) suppresses no findings; delete it or move it to the violation",
-                        a.rule
-                    ),
-                });
-            }
+    for (file, a) in ledger.iter() {
+        allows_total += 1;
+        if a.used() {
+            allows_used += 1;
+            continue;
         }
+        let form = match a.scope {
+            AllowScope::Line => "allow",
+            AllowScope::File => "allow-file",
+        };
+        findings.push(Finding {
+            file: file.to_string(),
+            line: a.line,
+            col: a.col,
+            rule: "stale-allow",
+            message: format!(
+                "{form}({}) suppresses no findings; delete it or move it to the violation",
+                a.rule
+            ),
+        });
     }
 
     findings.sort_by(|a, b| {
@@ -1091,6 +1027,7 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
         files_scanned: files.len(),
         allows_total,
         allows_used,
+        ledger,
         graph: g,
         locks: lock_analysis,
         taint: taint_analysis,

@@ -34,31 +34,23 @@
 //!   are deliberately *not* sanitizers: they prevent overflow, not
 //!   magnitude.
 //!
-//! Taint carries shortest-witness provenance exactly like panic-path, so
-//! every flow renders as `source-site → fnA → fnB → sink (file:line)`. The
+//! Taint carries [`Witness`] provenance like panic-path and renders it with
+//! the shared [`Graph::chain`], so every flow reads
+//! `source-site → fnA → fnB → sink (file:line)`. Allows and `trust(…)` are
+//! answered by the shared [`Ledger`]. The
 //! whole model — source/sink/sanitizer inventory, flow edges with witness
 //! chains, per-crate unsanitized counts — renders to the deterministic
 //! `TAINTGRAPH.json` artifact next to `CALLGRAPH.json`/`LOCKGRAPH.json`.
 
-// cmr-lint: allow-file(panic-path) node indices are minted by the graph arena and re-checked against the refs alignment guard; every dereference uses an index the builder issued
+// cmr-lint: allow-file(panic-path) node indices are minted by the graph arena; every dereference uses an index the builder issued
 
-use crate::graph::{crate_of, FileUnit, Graph, Node};
+use crate::graph::{crate_of, FileUnit, Graph, Node, Witness};
 use crate::parser::{CallSite, FnDef, Receiver};
-use crate::rules::Finding;
+use crate::rules::{AllowScope, Finding, Ledger};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Schema version stamped into `TAINTGRAPH.json`.
 pub const TAINTGRAPH_SCHEMA_VERSION: u32 = 1;
-
-/// Per-file allow state for the two taint rules plus the `trust(…)` hatch.
-#[derive(Default, Clone)]
-pub struct TaintAllows {
-    /// `(line, directive)` where directive is `trust`, `untrusted-length`
-    /// or `untrusted-index`; `trust` covers both rules.
-    pub lines: Vec<(u32, String)>,
-    /// Rules covered by an `allow-file(…)` directive.
-    pub file_rules: BTreeSet<String>,
-}
 
 /// One inventoried source, sink or sanitizer.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -104,32 +96,6 @@ pub struct TaintAnalysis {
     pub flows: Vec<Flow>,
     /// Unsuppressed findings (one per unsanitized flow).
     pub findings: Vec<Finding>,
-    /// `(file, line, rule)` of line allows/trusts that suppressed a flow.
-    pub used_allow_lines: BTreeSet<(String, u32, String)>,
-    /// `(file, rule)` of load-bearing `allow-file` directives.
-    pub used_file_allows: BTreeSet<(String, String)>,
-}
-
-impl Default for TaintAnalysis {
-    fn default() -> Self {
-        TaintAnalysis {
-            sources: Vec::new(),
-            sinks: Vec::new(),
-            sanitizers: Vec::new(),
-            flows: Vec::new(),
-            findings: Vec::new(),
-            used_allow_lines: BTreeSet::new(),
-            used_file_allows: BTreeSet::new(),
-        }
-    }
-}
-
-/// Shortest-chain provenance, mirroring `graph::Taint`.
-#[derive(Clone)]
-struct Tnt {
-    dist: u32,
-    via: Option<usize>,
-    site: String,
 }
 
 /// Methods whose result is a trusted scalar even on a tainted receiver:
@@ -545,83 +511,15 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
     sim
 }
 
-/// How a flow was suppressed, if it was.
-enum Suppressed {
-    No,
-    Line(u32, String),
-    File,
-}
-
-/// Finding sink applying file/line allows (including `trust`) with usage
-/// recording, mirroring the concurrency pass.
-struct Sink<'a> {
-    allows: &'a BTreeMap<String, TaintAllows>,
-    findings: Vec<Finding>,
-    used_lines: BTreeSet<(String, u32, String)>,
-    used_files: BTreeSet<(String, String)>,
-}
-
-impl Sink<'_> {
-    fn emit(
-        &mut self,
-        file: &str,
-        line: u32,
-        col: u32,
-        rule: &'static str,
-        message: String,
-    ) -> Suppressed {
-        if let Some(ta) = self.allows.get(file) {
-            if ta.file_rules.contains(rule) {
-                self.used_files.insert((file.to_string(), rule.to_string()));
-                return Suppressed::File;
-            }
-            for (al, ar) in &ta.lines {
-                if (*al == line || *al + 1 == line) && (ar == rule || ar == "trust") {
-                    self.used_lines.insert((file.to_string(), *al, ar.clone()));
-                    return Suppressed::Line(*al, ar.clone());
-                }
-            }
-        }
-        self.findings.push(Finding { file: file.to_string(), line, col, rule, message });
-        Suppressed::No
-    }
-}
-
-/// Runs the taint pass over the same `units` slice that built `g`.
-pub fn analyze(
-    units: &[FileUnit<'_>],
-    g: &Graph,
-    allows: &BTreeMap<String, TaintAllows>,
-) -> TaintAnalysis {
-    // Node alignment: graph::build pushes one node per (unit, fn) in order.
-    let mut refs: Vec<&FnDef> = Vec::new();
-    for u in units {
-        for def in &u.parsed.fns {
-            refs.push(def);
-        }
-    }
-    if refs.len() != g.nodes.len() {
-        return TaintAnalysis::default();
-    }
-    let n = refs.len();
+/// Runs the taint pass over the same `units` slice that built `g`; the
+/// ledger answers the taint allows and `trust(…)` directives.
+pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> TaintAnalysis {
+    let n = g.nodes.len();
+    let defs: Vec<&FnDef> = (0..n).map(|i| g.def(units, i)).collect();
     let active = |i: usize| !g.nodes[i].is_test;
 
-    // Reverse call edges, for re-queueing callers when a return summary flips.
-    let mut callers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, node) in g.nodes.iter().enumerate() {
-        for rc in &node.resolved_calls {
-            for &t in &rc.targets {
-                callers[t].push(i);
-            }
-        }
-    }
-    for c in &mut callers {
-        c.sort_unstable();
-        c.dedup();
-    }
-
     let mut entry: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    let mut prov: Vec<Option<Tnt>> = vec![None; n];
+    let mut prov: Vec<Option<Witness>> = vec![None; n];
     let mut ret_tainted = vec![false; n];
     let mut source_inv: BTreeSet<InvItem> = BTreeSet::new();
 
@@ -631,11 +529,11 @@ pub fn analyze(
         if !active(i) {
             continue;
         }
-        for (pname, ptail) in &refs[i].params {
+        for (pname, ptail) in &defs[i].params {
             if ptail == "[u8]" {
                 entry[i].insert(pname.clone());
                 if prov[i].is_none() {
-                    prov[i] = Some(Tnt {
+                    prov[i] = Some(Witness {
                         dist: 1,
                         via: None,
                         site: format!(
@@ -664,11 +562,10 @@ pub fn analyze(
     }
     while let Some(i) = queue.pop_front() {
         inq[i] = false;
-        let sim = simulate(refs[i], &g.nodes[i], &entry[i], &ret_tainted);
+        let sim = simulate(defs[i], &g.nodes[i], &entry[i], &ret_tainted);
         if prov[i].is_none() {
-            if let Some((kind, what, line)) = sim.sources.first() {
-                let _ = kind;
-                prov[i] = Some(Tnt {
+            if let Some((_kind, what, line)) = sim.sources.first() {
+                prov[i] = Some(Witness {
                     dist: 1,
                     via: None,
                     site: format!("{what} ({}:{line})", g.nodes[i].file),
@@ -683,12 +580,12 @@ pub fn analyze(
             let name = if pos == SELF_POS {
                 Some("self")
             } else {
-                refs[t].param_names.get(pos).map(String::as_str).filter(|s| !s.is_empty())
+                defs[t].param_names.get(pos).map(String::as_str).filter(|s| !s.is_empty())
             };
             let Some(name) = name else { continue };
             if entry[t].insert(name.to_string()) {
                 if prov[t].is_none() {
-                    prov[t] = Some(Tnt { dist: dist + 1, via: Some(i), site: String::new() });
+                    prov[t] = Some(Witness { dist: dist + 1, via: Some(i), site: String::new() });
                 }
                 if !inq[t] {
                     queue.push_back(t);
@@ -698,7 +595,7 @@ pub fn analyze(
         }
         if sim.ret && !ret_tainted[i] {
             ret_tainted[i] = true;
-            for &c in &callers[i] {
+            for &c in &g.callers[i] {
                 if !active(c) {
                     continue;
                 }
@@ -706,7 +603,7 @@ pub fn analyze(
                 // provenance through the callee, so witnesses reach back to
                 // the primitive source even across return flows.
                 if prov[c].is_none() {
-                    prov[c] = Some(Tnt { dist: dist + 1, via: Some(i), site: String::new() });
+                    prov[c] = Some(Witness { dist: dist + 1, via: Some(i), site: String::new() });
                 }
                 if !inq[c] {
                     queue.push_back(c);
@@ -716,35 +613,9 @@ pub fn analyze(
         }
     }
 
-    // Witness chain: provenance path from the source site down to `from`.
-    let chain = |from: usize| -> String {
-        let mut parts = Vec::new();
-        let mut cur = from;
-        for _ in 0..64 {
-            parts.push(g.nodes[cur].id.clone());
-            match &prov[cur] {
-                Some(t) => match t.via {
-                    Some(nxt) => cur = nxt,
-                    None => {
-                        parts.push(t.site.clone());
-                        break;
-                    }
-                },
-                None => break,
-            }
-        }
-        parts.reverse();
-        parts.join(" → ")
-    };
-
     // Final pass: flows, findings and the sanitizer inventory, library
     // nodes only (bins/tests feed propagation but are not audited).
-    let mut sink = Sink {
-        allows,
-        findings: Vec::new(),
-        used_lines: BTreeSet::new(),
-        used_files: BTreeSet::new(),
-    };
+    let mut findings: Vec<Finding> = Vec::new();
     let mut flows: Vec<Flow> = Vec::new();
     let mut sink_inv: BTreeSet<InvItem> = BTreeSet::new();
     let mut san_inv: BTreeSet<InvItem> = BTreeSet::new();
@@ -752,7 +623,7 @@ pub fn analyze(
         if !active(i) || !g.nodes[i].in_lib {
             continue;
         }
-        let sim = simulate(refs[i], &g.nodes[i], &entry[i], &ret_tainted);
+        let sim = simulate(defs[i], &g.nodes[i], &entry[i], &ret_tainted);
         let file = &g.nodes[i].file;
         for (kind, what, line) in &sim.sources {
             source_inv.insert(InvItem {
@@ -762,9 +633,10 @@ pub fn analyze(
                 line: *line,
             });
         }
-        let body = refs[i].body.as_ref();
+        let body = defs[i].body.as_ref();
         for hit in &sim.sinks {
-            let witness = format!("{} → {} ({file}:{})", chain(i), hit.desc, hit.line);
+            let witness =
+                format!("{} → {} ({file}:{})", g.chain(&prov, i, true), hit.desc, hit.line);
             sink_inv.insert(InvItem {
                 id: format!("{} {}", g.nodes[i].id, hit.desc),
                 kind: if hit.rule == "untrusted-length" { "alloc" } else { "index" }.to_string(),
@@ -787,25 +659,29 @@ pub fn analyze(
             } else if checks.iter().all(Option::is_some) {
                 ("sanitized", checks.first().copied().flatten().map(|l| (l, "bounds-check")))
             } else {
-                let what = if hit.rule == "untrusted-length" {
-                    "controls an allocation"
-                } else {
-                    "indexes a slice"
-                };
-                match sink.emit(
-                    file,
-                    hit.line,
-                    hit.col,
-                    hit.rule,
-                    format!(
-                        "untrusted value {what} without a dominating bounds check: {witness}"
-                    ),
-                ) {
-                    Suppressed::No => ("unsanitized", None),
-                    Suppressed::Line(al, ar) => {
-                        ("trusted", Some((al, if ar == "trust" { "trust" } else { "allow" })))
+                match ledger.covers(file, hit.rule, hit.line) {
+                    None => {
+                        let what = if hit.rule == "untrusted-length" {
+                            "controls an allocation"
+                        } else {
+                            "indexes a slice"
+                        };
+                        findings.push(Finding {
+                            file: file.clone(),
+                            line: hit.line,
+                            col: hit.col,
+                            rule: hit.rule,
+                            message: format!(
+                                "untrusted value {what} without a dominating bounds check: {witness}"
+                            ),
+                        });
+                        ("unsanitized", None)
                     }
-                    Suppressed::File => ("trusted", None),
+                    Some(a) if a.scope == AllowScope::File => ("trusted", None),
+                    Some(a) => {
+                        let kind = if a.rule == "trust" { "trust" } else { "allow" };
+                        ("trusted", Some((a.line, kind)))
+                    }
                 }
             };
             if let Some((line, kind)) = san {
@@ -845,9 +721,7 @@ pub fn analyze(
         sinks: sink_inv.into_iter().collect(),
         sanitizers: san_inv.into_iter().collect(),
         flows,
-        findings: sink.findings,
-        used_allow_lines: sink.used_lines,
-        used_file_allows: sink.used_files,
+        findings,
     }
 }
 

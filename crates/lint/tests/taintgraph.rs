@@ -82,9 +82,9 @@ fn dispositions_are_classified_and_trusts_are_load_bearing() {
     assert_eq!(status_of("slice index [lane]"), ["trusted"], "{:#?}", flows_of(t));
     // The load-bearing trust is recorded against its file and line.
     assert!(
-        t.used_allow_lines.iter().any(|(f, _, r)| f == "crates/c/src/lib.rs" && r == "trust"),
+        a.ledger.iter().any(|(f, d)| f == "crates/c/src/lib.rs" && d.rule == "trust" && d.used()),
         "{:?}",
-        t.used_allow_lines
+        a.ledger.iter().map(|(f, d)| (f, d.line, d.rule.as_str(), d.used())).collect::<Vec<_>>()
     );
     // Sanitizer inventory carries all three kinds the fixture exercises.
     for kind in ["bounds-check", "mask", "trust"] {
@@ -117,6 +117,33 @@ fn artifact_carries_rollup_and_flow_edges() {
         "{json}"
     );
     assert!(json.contains("\"sink\": \"Vec::with_capacity(count)\""), "{json}");
+}
+
+/// `--explain` must cite real flows: each example chain it prints is one of
+/// the witnesses the `taint_flow.rs` fixture produces, for the same rule,
+/// at the path `cmr-lint crates/lint/fixtures` reports.
+#[test]
+fn explain_examples_are_real_fixture_witnesses() {
+    let a = analyze(&[SourceFile {
+        path: "crates/lint/fixtures/taint_flow.rs".to_string(),
+        src: fixture("taint_flow.rs"),
+    }]);
+    for rule in ["untrusted-length", "untrusted-index"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_cmr-lint"))
+            .args(["--explain", rule])
+            .output()
+            .unwrap_or_else(|e| panic!("run cmr-lint --explain {rule}: {e}"));
+        assert!(out.status.success(), "--explain {rule} failed");
+        let text = String::from_utf8_lossy(&out.stdout);
+        let mut lines = text.lines().skip_while(|l| !l.starts_with("example witness chain"));
+        assert!(lines.next().is_some(), "--explain {rule} prints no example chain:\n{text}");
+        let chain = lines.next().map(str::trim).unwrap_or_default();
+        assert!(
+            a.taint.flows.iter().any(|f| f.rule == rule && f.witness == chain),
+            "--explain {rule} cites {chain:?}, which is no {rule} witness of the fixture: {:#?}",
+            flows_of(&a.taint)
+        );
+    }
 }
 
 fn flows_of(t: &cmr_lint::taint::TaintAnalysis) -> Vec<(String, String, &str)> {

@@ -6,8 +6,9 @@
 #   ./scripts/verify.sh
 #
 # Exits non-zero on the first failure. Prints per-gate wall-clock timings
-# and finishes with the one-line cmr-lint summary and a one-line obs
-# summary. Archives the lint artifacts (results/LINT_report.json,
+# and finishes with the one-line cmr-lint summary, one-line obs/serve/
+# chaos/ann snapshots and a `loc:` line (source lines per crate plus the
+# lint's allow count). Archives the lint artifacts (results/LINT_report.json,
 # results/CALLGRAPH.json, results/LOCKGRAPH.json,
 # results/TAINTGRAPH.json), the obs artifacts
 # (results/OBS_train.json,
@@ -337,7 +338,8 @@ done
 
 # Re-print the lint summary line so the run ends with the health snapshot
 # (files scanned, findings, allows, panic-surface, lock-edge/cycle counts).
-cargo run -p cmr-lint --release -q -- --workspace 2>/dev/null | tail -1
+lint_summary=$(cargo run -p cmr-lint --release -q -- --workspace 2>/dev/null | tail -1)
+echo "$lint_summary"
 
 # One-line obs health snapshot from the freshly written retrieval artifact.
 p50=$(grep -m1 '"p50"' results/OBS_retrieval.json | sed 's/.*: *//; s/,.*//')
@@ -362,5 +364,14 @@ ann_recall=$(awk '/"operating_point"/ { op = 1 } op && /"recall_at_10"/ { print 
 ann_nprobe=$(awk '/"operating_point"/ { op = 1 } op && /"nprobe"/ { print $2 + 0; exit }' results/ann_gate/BENCH_ann.json)
 ann_comp=$(grep -m1 '"compression_x"' results/ann_gate/BENCH_ann.json | sed 's/.*: *//; s/,.*//')
 echo "ann: recall@10 ${ann_recall} at nprobe ${ann_nprobe}, quantized ${ann_comp}x smaller (results/ann_gate/BENCH_ann.json)"
+
+# One-line code-size snapshot: source lines per crate (crates/*/src) and the
+# lint's allow inventory, so size moves show up per commit. Informational.
+loc=""
+for src in crates/*/src; do
+    krate=${src#crates/}
+    loc+=" ${krate%/src}=$(find "$src" -name '*.rs' -exec cat {} + | wc -l)"
+done
+echo "loc:${loc} $(grep -o 'allows=[0-9]*' <<<"$lint_summary")"
 
 echo "verify: all gates green"
