@@ -7,9 +7,12 @@
 //!
 //! Reading goes through the caller's `BufReader` so bytes past the current
 //! request head stay buffered for the body read and the next keep-alive
-//! request. Socket read timeouts surface as typed errors: quiet *between*
-//! requests is a clean [`ServeError::IdleClose`], quiet *mid-request* (the
-//! slow-loris shape) is [`ServeError::RequestTimeout`].
+//! request. The client half ([`write_request`] / [`read_response`]) frames
+//! responses the same way, which is what lets the router carry many shard
+//! exchanges over one pooled keep-alive connection. Socket read timeouts
+//! surface as typed errors: quiet *between* requests is a clean
+//! [`ServeError::IdleClose`], quiet *mid-request* (the slow-loris shape) is
+//! [`ServeError::RequestTimeout`].
 
 use crate::error::ServeError;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -221,7 +224,8 @@ pub fn write_error(w: &mut impl Write, err: &ServeError) -> io::Result<()> {
 }
 
 /// A parsed HTTP/1.1 response, the client half of the protocol (used by
-/// the load generator, the serving benchmark and the integration tests).
+/// the router's shard attempts, the fault proxy, the load generator, the
+/// serving benchmark and the integration tests).
 #[derive(Debug)]
 pub struct Response {
     /// Status code from the status line.
@@ -240,7 +244,8 @@ impl Response {
     }
 }
 
-/// Writes one client request with a `Content-Length` body.
+/// Writes one keep-alive client request with a `Content-Length` body (the
+/// router sends every shard attempt this way, over pooled connections).
 pub fn write_request(
     w: &mut impl Write,
     method: &str,
@@ -251,26 +256,6 @@ pub fn write_request(
     let mut wire =
         format!("{method} {target} HTTP/1.1\r\nContent-Length: {}\r\n\r\n", body.len())
             .into_bytes();
-    wire.extend_from_slice(body);
-    w.write_all(&wire)?;
-    w.flush()
-}
-
-/// Writes one client request that asks the server to close afterwards
-/// (`Connection: close`). The router sends each shard attempt on a fresh
-/// connection, and the close handshake is what lets the fault proxy treat
-/// upstream EOF as end-of-response.
-pub fn write_oneshot_request(
-    w: &mut impl Write,
-    method: &str,
-    target: &str,
-    body: &[u8],
-) -> io::Result<()> {
-    let mut wire = format!(
-        "{method} {target} HTTP/1.1\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    )
-    .into_bytes();
     wire.extend_from_slice(body);
     w.write_all(&wire)?;
     w.flush()

@@ -2,15 +2,34 @@
 //! shards that fail.
 //!
 //! Per routed query, each shard gets (subject to its circuit breaker) an
-//! independent task that connects over the plain worker HTTP protocol and
-//! races a **deadline** against **bounded retries** (exponential backoff
-//! with jitter) and an optional **hedged** second request for stragglers.
+//! independent task that speaks the plain worker HTTP protocol and races a
+//! **deadline** against **bounded retries** (exponential backoff with
+//! jitter) and an optional **hedged** second request for stragglers.
 //! Whatever answered in time is re-based to global gallery indices and
 //! merged with [`cmr_retrieval::merge_top_k`]; shards that did not answer
 //! only narrow the candidate set — the response is marked degraded with a
 //! coverage fraction instead of failing (see [`Routed`]). Only when *no*
 //! shard answers does the query fail, with
 //! [`ServeError::Unavailable`] (503).
+//!
+//! ## Pooled keep-alive connections
+//!
+//! Each shard keeps a LIFO list of idle keep-alive connections, so a
+//! routed query normally pays no connect, accept or handler spawn on the
+//! shard. An attempt takes the most recently used idle connection, or
+//! connects when none is idle (counted as `serve.router.connects`). A
+//! connection goes back to the list only from the attempt that won its
+//! shard query, after a complete 200 response with nothing buffered past it
+//! and no `Connection: close`; a connection whose attempt timed out,
+//! errored or lost a hedge race is dropped, so a late reply can never
+//! desync the next exchange. The list needs no cap: it never holds more
+//! connections than the shard once had attempts in flight at the same time.
+//!
+//! A reused connection that fails before the first response byte (write
+//! error, EOF or reset, but not a timeout) is a keep-alive the shard closed
+//! while it sat idle. The attempt retries it once, at once, on a fresh
+//! connection; that retry is not charged to the retry budget or the
+//! breaker.
 //!
 //! ## Byte identity when healthy
 //!
@@ -26,15 +45,15 @@ use crate::breaker::{Admission, Breaker, BreakerConfig};
 use crate::config::ServeConfig;
 use crate::engine::{render_hits, Direction};
 use crate::error::ServeError;
-use crate::http::{self, Limits};
+use crate::http::{self, Limits, Response};
 use crate::shard::ShardSpec;
 use cmr_retrieval::knn::Hit;
 use cmr_retrieval::merge_top_k;
 use std::fmt::Write as _;
-use std::io::BufReader;
+use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Router tuning; [`RouterConfig::from_serve`] lifts the env-backed knobs
@@ -80,14 +99,39 @@ impl RouterConfig {
     }
 }
 
-/// One shard as the router sees it: its address plus its breaker.
+/// A keep-alive connection to one shard.
+type Conn = BufReader<TcpStream>;
+
+/// What one attempt reports: the shard's re-based hits, plus the connection
+/// when the exchange left it reusable.
+type Attempt = Result<(Vec<Hit>, Option<Conn>), ServeError>;
+
+/// One shard as the router sees it: its address, its breaker and its idle
+/// keep-alive connections.
 struct Slot {
     spec: ShardSpec,
     breaker: Breaker,
+    /// Idle connections, most recently used last.
+    idle: Mutex<Vec<Conn>>,
+}
+
+impl Slot {
+    /// The most recently pooled idle connection, if any.
+    fn take_idle(&self) -> Option<Conn> {
+        self.idle.lock().unwrap_or_else(|p| p.into_inner()).pop()
+    }
+
+    fn put_idle(&self, conn: Conn) {
+        self.idle.lock().unwrap_or_else(|p| p.into_inner()).push(conn);
+    }
+
+    fn clear_idle(&self) {
+        self.idle.lock().unwrap_or_else(|p| p.into_inner()).clear();
+    }
 }
 
 struct RouterInner {
-    slots: Vec<Slot>,
+    slots: Vec<Arc<Slot>>,
     dim: usize,
     cfg: RouterConfig,
     /// Counter feeding splitmix64 for backoff jitter.
@@ -147,7 +191,13 @@ impl Router {
     pub fn new(specs: Vec<ShardSpec>, dim: usize, cfg: RouterConfig) -> Router {
         let slots = specs
             .into_iter()
-            .map(|spec| Slot { spec, breaker: Breaker::new(cfg.breaker) })
+            .map(|spec| {
+                Arc::new(Slot {
+                    spec,
+                    breaker: Breaker::new(cfg.breaker),
+                    idle: Mutex::new(Vec::new()),
+                })
+            })
             .collect();
         Router {
             inner: Arc::new(RouterInner {
@@ -172,6 +222,15 @@ impl Router {
     /// Number of shards whose breaker is currently open (readiness input).
     pub fn open_breakers(&self) -> usize {
         self.inner.slots.iter().filter(|s| s.breaker.is_open()).count()
+    }
+
+    /// Drops every idle pooled shard connection. The shards' handler
+    /// threads then see EOF and exit, so a fleet shutdown that follows need
+    /// not wait out their read timeouts.
+    pub(crate) fn close_idle(&self) {
+        for slot in &self.inner.slots {
+            slot.clear_idle();
+        }
     }
 
     /// Scatter-gathers one query (`body` = raw little-endian f32 bytes, as
@@ -259,12 +318,12 @@ fn shard_query(
     let slot = &inner.slots[i];
     let start = Instant::now();
     let deadline = start + inner.cfg.deadline;
-    let (atx, arx) = mpsc::channel::<Result<Vec<Hit>, ServeError>>();
-    let spawn_attempt = |tx: mpsc::Sender<Result<Vec<Hit>, ServeError>>| {
-        let spec = slot.spec;
+    let (atx, arx) = mpsc::channel::<Attempt>();
+    let spawn_attempt = |tx: mpsc::Sender<Attempt>| {
+        let slot = Arc::clone(slot);
         let body = Arc::clone(body);
         std::thread::spawn(move || {
-            let _ = tx.send(one_rpc(&spec, direction, k, &body, deadline));
+            let _ = tx.send(one_rpc(&slot, direction, k, &body, deadline));
         });
     };
     spawn_attempt(atx.clone());
@@ -290,7 +349,14 @@ fn shard_query(
             deadline - now
         };
         match arx.recv_timeout(wait) {
-            Ok(Ok(hits)) => break Ok(hits),
+            Ok(Ok((hits, conn))) => {
+                // Only the winner pools its connection; a hedge loser's
+                // reply stays unread in the channel and drops with it.
+                if let Some(conn) = conn {
+                    slot.put_idle(conn);
+                }
+                break Ok(hits);
+            }
             Ok(Err(e)) => {
                 inflight -= 1;
                 last_err = Some(e);
@@ -357,38 +423,34 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One network attempt at one shard: connect, send the oneshot request,
-/// read and parse the response, re-base hit indices to global rows.
-fn one_rpc(
-    spec: &ShardSpec,
-    direction: Direction,
-    k: usize,
-    body: &[u8],
-    deadline: Instant,
-) -> Result<Vec<Hit>, ServeError> {
+/// One network attempt at one shard: send the request over the most
+/// recently pooled connection (or a new one), read and parse the response,
+/// re-base hit indices to global rows. A stale pooled connection gets one
+/// immediate retry on a new connection inside the same attempt. Hands the
+/// connection back with the hits when the exchange left it reusable: a
+/// complete 200 response, nothing buffered past it, no `Connection: close`.
+fn one_rpc(slot: &Slot, direction: Direction, k: usize, body: &[u8], deadline: Instant) -> Attempt {
     let base = match direction {
-        Direction::ImToRec => spec.rec_base,
-        Direction::RecToIm => spec.img_base,
+        Direction::ImToRec => slot.spec.rec_base,
+        Direction::RecToIm => slot.spec.img_base,
     };
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(ServeError::RequestTimeout);
-    }
-    let stream = TcpStream::connect_timeout(&spec.addr, remaining)?;
-    let remaining = deadline
-        .saturating_duration_since(Instant::now())
-        .max(Duration::from_millis(1));
-    stream.set_read_timeout(Some(remaining))?;
-    stream.set_write_timeout(Some(remaining))?;
-    let _ = stream.set_nodelay(true);
     let target = format!("/v1/search/{}?k={k}", direction.as_str());
-    http::write_oneshot_request(&mut (&stream), "POST", &target, body)?;
-    let limits = Limits { max_head_bytes: 8 << 10, max_body_bytes: 1 << 22 };
-    let mut reader = BufReader::new(&stream);
-    let resp = http::read_response(&mut reader, &limits)?;
+    let (resp, conn) = match slot.take_idle() {
+        Some(conn) => match exchange(conn, &target, body, deadline) {
+            Err(Exchange::Stale(_)) => {
+                // Every older idle connection has sat idle longer still.
+                slot.clear_idle();
+                exchange(connect(&slot.spec, deadline)?, &target, body, deadline)?
+            }
+            done => done?,
+        },
+        None => exchange(connect(&slot.spec, deadline)?, &target, body, deadline)?,
+    };
     if resp.status != 200 {
         return Err(ServeError::Unavailable(format!("shard answered {}", resp.status)));
     }
+    let reusable = conn.buffer().is_empty()
+        && !resp.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"));
     let text = std::str::from_utf8(&resp.body)
         .map_err(|_| ServeError::Unavailable("shard response is not UTF-8".into()))?;
     let mut hits = parse_hits(text)
@@ -396,7 +458,77 @@ fn one_rpc(
     for h in &mut hits {
         h.index += base;
     }
-    Ok(hits)
+    Ok((hits, reusable.then_some(conn)))
+}
+
+/// Opens a new connection to `spec` within the deadline.
+fn connect(spec: &ShardSpec, deadline: Instant) -> Result<Conn, ServeError> {
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    if remaining.is_zero() {
+        return Err(ServeError::RequestTimeout);
+    }
+    let stream = TcpStream::connect_timeout(&spec.addr, remaining)?;
+    let _ = stream.set_nodelay(true);
+    if cmr_obs::enabled() {
+        cmr_obs::counter_add("serve.router.connects", 1);
+    }
+    Ok(BufReader::new(stream))
+}
+
+/// A failed request/response exchange.
+enum Exchange {
+    /// The transport failed before the first response byte, without a
+    /// timeout: on a reused connection, a keep-alive the shard closed.
+    Stale(ServeError),
+    /// Any other failure, timeouts included.
+    Failed(ServeError),
+}
+
+impl From<Exchange> for ServeError {
+    fn from(e: Exchange) -> ServeError {
+        match e {
+            Exchange::Stale(e) | Exchange::Failed(e) => e,
+        }
+    }
+}
+
+/// Sends one keep-alive request on `conn` and reads the full response,
+/// both bounded by `deadline`.
+fn exchange(
+    mut conn: Conn,
+    target: &str,
+    body: &[u8],
+    deadline: Instant,
+) -> Result<(Response, Conn), Exchange> {
+    let remaining = deadline.saturating_duration_since(Instant::now());
+    if remaining.is_zero() {
+        return Err(Exchange::Failed(ServeError::RequestTimeout));
+    }
+    let stream = conn.get_ref();
+    let timeouts = stream
+        .set_read_timeout(Some(remaining))
+        .and_then(|()| stream.set_write_timeout(Some(remaining)));
+    if let Err(e) = timeouts {
+        return Err(Exchange::Failed(e.into()));
+    }
+    let sent = http::write_request(conn.get_mut(), "POST", target, body);
+    let first_byte = sent.and_then(|()| conn.fill_buf().map(|buf| buf.is_empty()));
+    match first_byte {
+        Ok(false) => {}
+        Ok(true) => {
+            let eof = io::Error::new(io::ErrorKind::UnexpectedEof, "shard closed the connection");
+            return Err(Exchange::Stale(eof.into()));
+        }
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            return Err(Exchange::Failed(ServeError::RequestTimeout));
+        }
+        Err(e) => return Err(Exchange::Stale(e.into())),
+    }
+    let limits = Limits { max_head_bytes: 8 << 10, max_body_bytes: 1 << 22 };
+    match http::read_response(&mut conn, &limits) {
+        Ok(resp) => Ok((resp, conn)),
+        Err(e) => Err(Exchange::Failed(e)),
+    }
 }
 
 /// Parses a worker's `{"hits":[…]}` body back into hits. Rust's f32 parse

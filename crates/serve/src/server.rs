@@ -21,13 +21,24 @@
 //! cache when possible and otherwise submitted to the admission queue,
 //! which batches it with concurrent arrivals before ranking.
 //!
-//! ## Shutdown
+//! ## Accept and shutdown
 //!
-//! [`Server::shutdown`] stops the accept loop, lets every connection
-//! thread finish its in-flight request (idle keep-alive connections close
-//! at their next read-timeout tick, so shutdown takes at most roughly one
-//! `read_timeout`), then drains the admission queue — no admitted request
-//! is dropped.
+//! The accept loop blocks in `accept` and spawns one thread per
+//! connection; only an accept *error* (e.g. `EMFILE`) backs off briefly,
+//! so it cannot spin. [`Server::shutdown`] sets the shutdown flag and wakes
+//! the loop with one loopback connect to the bound port. It then lets every
+//! connection thread finish its in-flight request and drains the admission
+//! queue, so no admitted request is dropped. Idle keep-alive connections
+//! close at their next read-timeout tick, so shutdown takes at most roughly
+//! one `read_timeout`.
+//!
+//! A sharded front end drops its router's idle pooled shard connections
+//! once its own connections are done, so a [`ShardFleet`] shutdown that
+//! follows is prompt. Killing a single shard while a router still holds
+//! pooled connections to it can take up to one `read_timeout` of that
+//! shard, the time its handler threads take to notice the idle sockets.
+//!
+//! [`ShardFleet`]: crate::shard::ShardFleet
 
 use crate::batch::Batcher;
 use crate::cache::ShardedCache;
@@ -37,7 +48,7 @@ use crate::error::ServeError;
 use crate::http::{self, Limits, Request};
 use crate::router::Router;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -127,7 +138,6 @@ impl Server {
 
     fn start_with(dispatch: Dispatch, cfg: ServeConfig, addr: &str) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let ctx = Arc::new(Ctx {
             dispatch,
@@ -162,10 +172,12 @@ impl Server {
     pub fn shutdown(&mut self) {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_handle.take() {
+            wake(self.local_addr);
             let _ = handle.join();
         }
-        if let Dispatch::Local { batcher, .. } = &self.ctx.dispatch {
-            batcher.shutdown();
+        match &self.ctx.dispatch {
+            Dispatch::Local { batcher, .. } => batcher.shutdown(),
+            Dispatch::Sharded { router } => router.close_idle(),
         }
     }
 }
@@ -176,33 +188,52 @@ impl Drop for Server {
     }
 }
 
-/// Polls for connections until shutdown, then joins the handlers it
-/// spawned.
+/// Accepts connections until shutdown, then joins the handlers it spawned.
 fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if cmr_obs::enabled() {
-                    cmr_obs::counter_add("serve.connections", 1);
-                }
-                let ctx = Arc::clone(ctx);
-                handlers.push(std::thread::spawn(move || handle_connection(stream, &ctx)));
-                handlers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                // Transient accept failure (e.g. aborted handshake): back
-                // off briefly and keep serving.
-                std::thread::sleep(Duration::from_millis(2));
-            }
+    accept_until(listener, &ctx.shutdown, |stream| {
+        if cmr_obs::enabled() {
+            cmr_obs::counter_add("serve.connections", 1);
         }
-    }
+        let ctx = Arc::clone(ctx);
+        handlers.push(std::thread::spawn(move || handle_connection(stream, &ctx)));
+        handlers.retain(|h| !h.is_finished());
+    });
     for h in handlers {
         let _ = h.join();
     }
+}
+
+/// Blocks in `accept` and hands each connection to `serve` until `stop` is
+/// set; [`wake`] unblocks the last `accept`, whose connection is dropped.
+/// An accept error (an aborted handshake, `EMFILE`) backs off briefly so it
+/// cannot spin.
+pub(crate) fn accept_until(
+    listener: &TcpListener,
+    stop: &AtomicBool,
+    mut serve: impl FnMut(TcpStream),
+) {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _peer)) => serve(stream),
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        }
+    }
+}
+
+/// Unblocks an [`accept_until`] loop listening on `addr` with one loopback
+/// connect (an unspecified bind address is reached through loopback).
+pub(crate) fn wake(addr: SocketAddr) {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), Duration::from_secs(1));
 }
 
 /// Serves one keep-alive connection until close, error, or shutdown.

@@ -293,5 +293,14 @@ fn flaky_resets_and_truncations_never_surface_to_clients() {
         full_coverage > 0,
         "retries should recover full coverage for at least some of {REQUESTS} requests"
     );
+    // Faults are drawn per attempt, so pooled router connections cannot
+    // dodge them: both fault kinds must actually have fired.
+    let fired = |f: Fault| rig_.proxies.iter().map(|p| p.draws(f)).sum::<u64>();
+    assert!(
+        fired(Fault::Reset) >= 1 && fired(Fault::Truncate) >= 1,
+        "{} resets and {} truncations fired over {REQUESTS} requests",
+        fired(Fault::Reset),
+        fired(Fault::Truncate)
+    );
     rig_.teardown();
 }
