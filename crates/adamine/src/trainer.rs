@@ -37,7 +37,9 @@ use crate::model::{BatchInputs, TwoBranchModel};
 use crate::precompute::{RecipeFeatures, SentenceFeaturizer};
 use crate::scenario::Scenario;
 use cmr_data::{BatchSampler, Dataset, Recipe, Split};
-use cmr_nn::{serialize, Adam, Bindings, CheckpointError, CheckpointStore, Slot, TrainState};
+use cmr_nn::frame::{put_len, Frame};
+use cmr_nn::serialize::{self, Checkpoint};
+use cmr_nn::{Adam, Bindings, CheckpointError, CheckpointStore, Slot, TrainState};
 use cmr_retrieval::{median_rank, ranks_of_matches, Embeddings};
 use cmr_tensor::Graph;
 use cmr_word2vec::{SgnsConfig, WordVectors};
@@ -290,19 +292,21 @@ impl Trainer {
         };
         if self.resume {
             if let Some(cs) = &ckpts {
-                let loaded = {
+                let restored = {
                     let _load_span = cmr_obs::span("train.checkpoint_load_s");
-                    cs.load(Slot::Latest, |bytes| {
-                        serialize::load_checkpoint(&mut model.store, &mut adam, bytes)
+                    let snap =
+                        cs.load(Slot::Latest, decode_snapshot).map_err(TrainError::Checkpoint)?;
+                    snap.map(|snap| {
+                        restore(
+                            snap, &mut model, &mut adam, &mut rng, &mut stats, &mut best,
+                            &mut sampler,
+                        )
                     })
-                    .map_err(TrainError::Checkpoint)?
+                    .transpose()
+                    .map_err(|source| TrainError::Checkpoint(CheckpointError::Decode { source }))?
                 };
-                match loaded {
+                match restored {
                     Some(Some(ts)) => {
-                        apply_train_state(&ts, &mut rng, &mut stats, &mut best, &mut sampler)
-                            .map_err(|source| {
-                                TrainError::Checkpoint(CheckpointError::Decode { source })
-                            })?;
                         start_epoch = ts.next_epoch as usize;
                         if !self.quiet {
                             cmr_obs::log(&format!(
@@ -355,13 +359,16 @@ impl Trainer {
                                 self.scenario.name()
                             ));
                         }
-                        restore_snapshot(
-                            &epoch_start, &mut model, &mut adam, &mut rng, &mut stats, &mut best,
-                            &mut sampler,
-                        )
-                        .map_err(|source| {
-                            TrainError::Checkpoint(CheckpointError::Decode { source })
-                        })?;
+                        decode_snapshot(&epoch_start)
+                            .and_then(|snap| {
+                                restore(
+                                    snap, &mut model, &mut adam, &mut rng, &mut stats,
+                                    &mut best, &mut sampler,
+                                )
+                            })
+                            .map_err(|source| {
+                                TrainError::Checkpoint(CheckpointError::Decode { source })
+                            })?;
                         retried = true;
                     }
                 }
@@ -630,58 +637,13 @@ enum EpochOutcome {
 // CMRCKPT2 blob: epoch stats, best-model blob, sampler order).
 // ---------------------------------------------------------------------------
 
-/// Minimal checked little-endian reader for the trainer's `extra` section.
-struct Wire<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Wire<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() < n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("trainer state truncated: wanted {n} bytes, {} left", self.buf.len()),
-            ));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Consumes exactly `N` bytes as an array; no panic path once `take`
-    /// succeeds.
-    fn array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
-        let head = self.take(N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(head);
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-}
-
 fn encode_extra(
     stats: &[EpochStats],
     best: &Option<(f64, usize, Vec<u8>)>,
     sampler: &BatchSampler,
 ) -> Vec<u8> {
     let mut buf = Vec::new();
-    // cmr-lint: allow(lossy-cast) checkpoint format length field; param count never nears 2^32
-    buf.extend_from_slice(&(stats.len() as u32).to_le_bytes());
+    put_len(&mut buf, stats.len());
     for s in stats {
         buf.extend_from_slice(&(s.epoch as u64).to_le_bytes());
         buf.extend_from_slice(&s.mean_loss.to_le_bytes());
@@ -692,8 +654,7 @@ fn encode_extra(
     match best {
         Some((_, _, blob)) => {
             buf.push(1);
-            // cmr-lint: allow(lossy-cast) checkpoint format length field; moment blobs are MBs, not GBs
-            buf.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+            put_len(&mut buf, blob.len());
             buf.extend_from_slice(blob);
         }
         None => buf.push(0),
@@ -701,8 +662,7 @@ fn encode_extra(
     let (order, cursor) = sampler.state();
     let cursor = if cursor == usize::MAX { u64::MAX } else { cursor as u64 };
     buf.extend_from_slice(&cursor.to_le_bytes());
-    // cmr-lint: allow(lossy-cast) checkpoint format length field; sampler order is bounded by the dataset size
-    buf.extend_from_slice(&(order.len() as u32).to_le_bytes());
+    put_len(&mut buf, order.len());
     for id in order {
         buf.extend_from_slice(&(id as u64).to_le_bytes());
     }
@@ -712,53 +672,29 @@ fn encode_extra(
 type DecodedExtra = (Vec<EpochStats>, Option<Vec<u8>>, Vec<usize>, usize);
 
 fn decode_extra(extra: &[u8]) -> io::Result<DecodedExtra> {
-    let mut w = Wire { buf: extra };
-    let n_stats = w.u32()? as usize;
-    // Each stat row is 40 wire bytes; a count the payload cannot hold is
-    // hostile or corrupt — reject it before allocating.
-    if n_stats > w.buf.len() / 40 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("trainer state claims {n_stats} epoch stats in {} bytes", w.buf.len()),
-        ));
-    }
-    let mut stats = Vec::with_capacity(n_stats);
+    let mut r = Frame::new(extra, extra.len());
+    let n_stats = r.u32()? as usize;
+    // Each stat row is 40 wire bytes.
+    let mut stats = r.vec_for(n_stats, 40)?;
     for _ in 0..n_stats {
         stats.push(EpochStats {
-            epoch: w.u64()? as usize,
-            mean_loss: w.f64()?,
-            val_medr: w.f64()?,
-            active_fraction: w.f64()?,
-            skipped_batches: w.u64()? as usize,
+            epoch: r.u64()? as usize,
+            mean_loss: r.f64()?,
+            val_medr: r.f64()?,
+            active_fraction: r.f64()?,
+            skipped_batches: r.u64()? as usize,
         });
     }
-    let best_blob = if w.u8()? != 0 {
-        let len = w.u32()? as usize;
-        Some(w.take(len)?.to_vec())
-    } else {
-        None
-    };
-    let cursor = w.u64()?;
+    let best_blob = if r.u8()? != 0 { Some(r.len_prefixed()?) } else { None };
+    let cursor = r.u64()?;
     let cursor = if cursor == u64::MAX { usize::MAX } else { cursor as usize };
-    let n_order = w.u32()? as usize;
-    // Sampler order entries are 8 wire bytes each; same hostile-count
-    // rejection as above.
-    if n_order > w.buf.len() / 8 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("trainer state claims {n_order} order entries in {} bytes", w.buf.len()),
-        ));
-    }
-    let mut order = Vec::with_capacity(n_order);
+    let n_order = r.u32()? as usize;
+    // Sampler order entries are 8 wire bytes each.
+    let mut order = r.vec_for(n_order, 8)?;
     for _ in 0..n_order {
-        order.push(w.u64()? as usize);
+        order.push(r.u64()? as usize);
     }
-    if !w.buf.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{} trailing bytes in trainer state", w.buf.len()),
-        ));
-    }
+    r.finish()?;
     Ok((stats, best_blob, order, cursor))
 }
 
@@ -783,38 +719,36 @@ fn snapshot(
     serialize::save_checkpoint(&model.store, adam, &state)
 }
 
-fn apply_train_state(
-    ts: &TrainState,
-    rng: &mut SmallRng,
-    stats: &mut Vec<EpochStats>,
-    best: &mut Option<(f64, usize, Vec<u8>)>,
-    sampler: &mut BatchSampler,
-) -> io::Result<()> {
-    let (decoded_stats, best_blob, order, cursor) = decode_extra(&ts.extra)?;
-    sampler
-        .restore_state(&order, cursor)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    *rng = SmallRng::from_state(ts.rng);
-    *stats = decoded_stats;
-    *best = best_blob.map(|blob| (ts.best_val, ts.best_epoch as usize, blob));
-    Ok(())
+/// Decodes a snapshot blob (the checkpoint and, for v2, its `extra`
+/// section) without touching any training state.
+fn decode_snapshot(bytes: &[u8]) -> io::Result<(Checkpoint, Option<DecodedExtra>)> {
+    let ckpt = Checkpoint::decode(bytes)?;
+    let extra = ckpt.state().map(|ts| decode_extra(&ts.extra)).transpose()?;
+    Ok((ckpt, extra))
 }
 
-/// Restores a full in-memory snapshot produced by [`snapshot`] (the
-/// rollback path of the non-finite guard).
-fn restore_snapshot(
-    bytes: &[u8],
+/// Applies a decoded snapshot: parameters and optimiser (checked against
+/// the model before any write), then sampler, RNG, stats and best model.
+/// Returns the trainer state, or `None` for a v1 param-only blob.
+fn restore(
+    (ckpt, extra): (Checkpoint, Option<DecodedExtra>),
     model: &mut TwoBranchModel,
     adam: &mut Adam,
     rng: &mut SmallRng,
     stats: &mut Vec<EpochStats>,
     best: &mut Option<(f64, usize, Vec<u8>)>,
     sampler: &mut BatchSampler,
-) -> io::Result<()> {
-    let ts = serialize::load_checkpoint(&mut model.store, adam, bytes)?.ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidData, "snapshot is not a v2 checkpoint")
-    })?;
-    apply_train_state(&ts, rng, stats, best, sampler)
+) -> io::Result<Option<TrainState>> {
+    let ts = ckpt.apply(&mut model.store, adam)?;
+    if let (Some(ts), Some((decoded_stats, best_blob, order, cursor))) = (&ts, extra) {
+        sampler
+            .restore_state(&order, cursor)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        *rng = SmallRng::from_state(ts.rng);
+        *stats = decoded_stats;
+        *best = best_blob.map(|blob| (ts.best_val, ts.best_epoch as usize, blob));
+    }
+    Ok(ts)
 }
 
 fn embed_ids(
@@ -1037,5 +971,95 @@ mod tests {
         let b = tiny_trainer(Scenario::AdaMineIns).run(&d);
         assert_eq!(a.best_val_medr, b.best_val_medr);
         assert_eq!(a.epochs, b.epochs);
+    }
+
+    /// Golden pins for every binary format the workspace persists: fixed-
+    /// seed blobs of `CMRCKPT1`, `CMRCKPT2` (Adam moments plus this
+    /// trainer's `extra` section), `CMREMB1` and `CMRIVF1` (flat and PQ)
+    /// must keep their exact length and CRC-32. Round-trip tests only
+    /// compare one build against itself; these constants catch any change
+    /// to the bytes on disk. Sealed formats end in their own CRC footer
+    /// (and CRC-32 over data plus its footer is a constant residue), so
+    /// the pin is the CRC of everything before the footer.
+    #[test]
+    fn binary_formats_match_golden_crcs() {
+        use cmr_nn::crc32::crc32;
+        use cmr_retrieval::{index_to_bytes, IvfIndex};
+        use cmr_tensor::TensorData;
+        use rand::Rng;
+
+        let pin = |label: &str, blob: &[u8], sealed: bool, want: (usize, u32)| {
+            let body = if sealed { &blob[..blob.len() - 4] } else { blob };
+            if sealed {
+                assert_eq!(&blob[blob.len() - 4..], &crc32(body).to_le_bytes(), "{label} footer");
+            }
+            assert_eq!((blob.len(), crc32(body)), want, "{label} (len, crc32)");
+        };
+
+        let mut rng = SmallRng::seed_from_u64(2018);
+        let mut store = cmr_nn::ParamStore::new();
+        for (name, rows, cols) in [("enc.w", 3, 5), ("enc.b", 1, 5), ("head.w", 5, 2)] {
+            let data = (0..rows * cols).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            store.register(name, TensorData::new(rows, cols, data));
+        }
+        store.set_frozen(store.by_name("enc.b").unwrap(), true);
+        let v1 = serialize::save_params(&store);
+        pin("CMRCKPT1", &v1, false, (181, 0x9df2_0172));
+
+        let mut adam = Adam::new(0.01);
+        for _ in 0..3 {
+            let mut g = Graph::new();
+            let mut binds = Bindings::new();
+            let ids: Vec<_> = store.ids().collect();
+            let mut loss = None;
+            for id in ids {
+                let x = store.bind(&mut g, &mut binds, id);
+                let sq = g.mul(x, x);
+                let s = g.sum_all(sq);
+                loss = Some(match loss {
+                    None => s,
+                    Some(acc) => g.add(acc, s),
+                });
+            }
+            g.backward(loss.unwrap());
+            adam.step(&mut store, &g, &binds);
+        }
+        let d = tiny_dataset();
+        let mut sampler = BatchSampler::new(&d, Split::Train, 8);
+        let (mut order, _) = sampler.state();
+        order.reverse();
+        sampler.restore_state(&order, 3).unwrap();
+        let stats: Vec<EpochStats> = (0..2)
+            .map(|e| EpochStats {
+                epoch: e,
+                mean_loss: 0.5 / (e + 1) as f64,
+                val_medr: 40.0 - e as f64,
+                active_fraction: 0.75,
+                skipped_batches: e,
+            })
+            .collect();
+        let best = Some((39.0, 1, v1.clone()));
+        let state = TrainState {
+            rng: SmallRng::seed_from_u64(7).state(),
+            next_epoch: 2,
+            best_epoch: 1,
+            best_val: 39.0,
+            extra: encode_extra(&stats, &best, &sampler),
+        };
+        let v2 = serialize::save_checkpoint(&store, &adam, &state);
+        pin("CMRCKPT2", &v2, true, (3143, 0x4c48_0dba));
+
+        let emb: Vec<f32> = (0..6 * 4).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        pin("CMREMB1", &cmr_nn::save_embedding_blob(4, &emb), true, (116, 0x7346_6606));
+
+        let mut gallery = Embeddings::with_capacity(8, 64);
+        for _ in 0..64 {
+            let v: Vec<f32> = (0..8).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            gallery.push(&v);
+        }
+        let flat = IvfIndex::build(gallery.l2_normalized(), 4, 4, &mut rng);
+        pin("CMRIVF1 flat", &index_to_bytes(&flat), true, (2477, 0x8ac6_1e79));
+        let (pq, _) = flat.quantize_residuals(2, 16, 4, 64, &mut rng).unwrap();
+        pin("CMRIVF1 pq", &index_to_bytes(&pq), true, (1077, 0x45d7_523b));
     }
 }

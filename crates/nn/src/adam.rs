@@ -2,7 +2,7 @@
 //! learning rate 1e-4 (§4.4).
 
 use crate::param::{Bindings, ParamStore};
-use crate::serialize::{bad, put_len_prefixed, Reader, MAX_DECODE_DIM};
+use crate::frame::{bad, put_f32s, put_len, Frame, MAX_DECODE_DIM};
 use cmr_tensor::{Graph, TensorData};
 use std::collections::HashMap;
 use std::io;
@@ -82,23 +82,16 @@ impl Adam {
         for h in [self.lr, self.beta1, self.beta2, self.eps] {
             buf.extend_from_slice(&h.to_le_bytes());
         }
-        let mut pids: Vec<usize> = self.moments.keys().copied().collect();
-        pids.sort_unstable();
-        // cmr-lint: allow(lossy-cast) checkpoint format length field; param-id count never nears 2^32
-        buf.extend_from_slice(&(pids.len() as u32).to_le_bytes());
-        for pid in pids {
-            // cmr-lint: allow(panic-path) pids were just collected from this same map's keys
-            let (m, v) = &self.moments[&pid];
+        let mut moments: Vec<_> = self.moments.iter().collect();
+        moments.sort_unstable_by_key(|&(&pid, _)| pid);
+        put_len(&mut buf, moments.len());
+        for (&pid, (m, v)) in moments {
             buf.extend_from_slice(&(pid as u64).to_le_bytes());
-            buf.extend_from_slice(&(m.rows as u32).to_le_bytes());
-            buf.extend_from_slice(&(m.cols as u32).to_le_bytes());
-            let mut tensor = Vec::with_capacity(2 * m.len() * 4);
-            for t in [m, v] {
-                for &x in &t.data {
-                    tensor.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            put_len_prefixed(&mut buf, &tensor);
+            put_len(&mut buf, m.rows);
+            put_len(&mut buf, m.cols);
+            put_len(&mut buf, 2 * m.len() * 4);
+            put_f32s(&mut buf, &m.data);
+            put_f32s(&mut buf, &v.data);
         }
         buf
     }
@@ -110,60 +103,42 @@ impl Adam {
     /// `InvalidData` on truncation or malformed entries; the optimiser is
     /// left unchanged on error.
     pub fn load_state(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut buf = Reader::new(bytes);
-        let t = buf.get_u64_le()?;
-        let lr = buf.get_f32_le()?;
-        let beta1 = buf.get_f32_le()?;
-        let beta2 = buf.get_f32_le()?;
-        let eps = buf.get_f32_le()?;
-        let n = buf.get_u32_le()? as usize;
-        // Each moment entry occupies at least 20 bytes (pid + shape +
-        // length prefix), so a count claiming more entries than the
-        // payload could hold is hostile or corrupt — reject it before
-        // sizing the map.
-        if n > buf.remaining() / 20 {
-            return Err(bad(format!("Adam state claims {n} moments in {} bytes", buf.remaining())));
-        }
-        let mut moments = HashMap::with_capacity(n);
+        *self = Self::read_state(bytes)?;
+        Ok(())
+    }
+
+    /// Decodes a [`save_state`](Self::save_state) blob into a fresh
+    /// optimiser.
+    pub(crate) fn read_state(bytes: &[u8]) -> io::Result<Adam> {
+        let mut r = Frame::new(bytes, bytes.len());
+        let t = r.u64()?;
+        let (lr, beta1, beta2, eps) = (r.f32()?, r.f32()?, r.f32()?, r.f32()?);
+        let n = r.u32()? as usize;
+        // Each moment entry occupies at least 20 bytes: pid, shape, length.
+        let mut entries = r.vec_for(n, 20)?;
         for _ in 0..n {
-            let pid = buf.get_u64_le()? as usize;
-            let rows = buf.get_u32_le()? as usize;
-            let cols = buf.get_u32_le()? as usize;
+            let pid = r.u64()? as usize;
+            let rows = r.u32()? as usize;
+            let cols = r.u32()? as usize;
             if rows > MAX_DECODE_DIM || cols > MAX_DECODE_DIM {
                 return Err(bad(format!("implausible moment shape {rows}x{cols} for parameter {pid}")));
             }
-            let tensor = buf.get_len_prefixed()?;
-            let len = rows * cols;
-            if tensor.len() != 2 * len * 4 {
+            let (len, wire) = (rows * cols, r.u32()? as usize);
+            if wire != 2 * len * 4 {
                 return Err(bad(format!(
-                    "Adam moment {pid}: payload {} bytes for shape {rows}x{cols}",
-                    tensor.len()
+                    "Adam moment {pid}: payload {wire} bytes for shape {rows}x{cols}"
                 )));
             }
-            let floats = |raw: &[u8]| -> Vec<f32> {
-                raw.chunks_exact(4)
-                    // cmr-lint: allow(panic-path) chunks_exact(4) yields exactly four bytes per chunk
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                    .collect()
-            };
-            // cmr-lint: allow(panic-path) tensor.len() == 2 * len * 4 was verified just above
-            let m = TensorData::new(rows, cols, floats(&tensor[..len * 4]));
-            // cmr-lint: allow(panic-path) tensor.len() == 2 * len * 4 was verified just above
-            let v = TensorData::new(rows, cols, floats(&tensor[len * 4..]));
-            if moments.insert(pid, (m, v)).is_some() {
-                return Err(bad(format!("duplicate Adam moment for parameter {pid}")));
-            }
+            let m = TensorData::new(rows, cols, r.f32s(len)?);
+            let v = TensorData::new(rows, cols, r.f32s(len)?);
+            entries.push((pid, (m, v)));
         }
-        if buf.remaining() != 0 {
-            return Err(bad(format!("{} trailing bytes in Adam state", buf.remaining())));
+        r.finish()?;
+        let moments: HashMap<_, _> = entries.into_iter().collect();
+        if moments.len() != n {
+            return Err(bad(format!("duplicate Adam moments: {n} entries, {} parameters", moments.len())));
         }
-        self.t = t;
-        self.lr = lr;
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self.eps = eps;
-        self.moments = moments;
-        Ok(())
+        Ok(Adam { lr, beta1, beta2, eps, t, moments })
     }
 }
 

@@ -11,8 +11,8 @@
 //!
 //! The store is format-agnostic: it moves bytes, and the caller supplies a
 //! parse/validate closure (normally
-//! [`serialize::load_checkpoint`](crate::serialize::load_checkpoint), whose
-//! CRC footer is what makes corruption detectable).
+//! [`Checkpoint::decode`](crate::serialize::Checkpoint::decode), whose CRC
+//! footer check is what makes corruption detectable).
 
 use std::fs::{self, File};
 use std::io::{self, Write};

@@ -35,9 +35,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// Incremental CRC-32 over a byte stream: feed chunks with
 /// [`update`](Hasher::update), read the digest with
 /// [`finalize`](Hasher::finalize). `Hasher` over any chunking of a byte
-/// sequence equals [`crc32`] of the concatenation — the property the
-/// streamed `CMRIVF1` index loader relies on to verify a footer without
-/// buffering the whole file.
+/// sequence equals [`crc32`] of the concatenation — the property
+/// [`Frame`](crate::frame::Frame) relies on to verify a footer without
+/// buffering the whole input.
 #[derive(Clone, Debug)]
 pub struct Hasher {
     state: u32,

@@ -4,7 +4,8 @@
 //! a parameter store with per-parameter freeze flags (the paper freezes the
 //! visual backbone for the first training phase, §4.4), `Linear`,
 //! `Embedding`, masked `Lstm`/`BiLstm` layers, an `Mlp` helper, the Adam
-//! optimiser, and binary checkpointing.
+//! optimiser, binary checkpointing, and the one bounded reader ([`frame`])
+//! that every persisted binary format decodes through.
 //!
 //! ## The bind/step cycle
 //!
@@ -40,6 +41,7 @@ pub mod adam;
 pub mod checkpoint;
 pub mod crc32;
 pub mod embedding;
+pub mod frame;
 pub mod linear;
 pub mod lstm;
 pub mod mlp;

@@ -10,169 +10,106 @@
 //!   parameter body, then the [`Adam`] optimiser state (moments + step
 //!   count), then trainer state (RNG words, epoch counter, best-validation
 //!   tracking, and an opaque trainer-owned `extra` section), terminated by
-//!   a CRC-32 integrity footer ([`crate::crc32`]). The CRC is verified
-//!   *before* any field is parsed, so a truncated or bit-flipped file is
-//!   rejected without mutating the destination store.
+//!   a CRC-32 integrity footer ([`crate::crc32`]).
+//!
+//! Both decode through the shared [`Frame`] reader in one pass into a
+//! fresh [`Checkpoint`]; the footer is verified at the end of that pass.
+//! Only then does [`Checkpoint::apply`] touch the destination: it checks
+//! every entry against the store (known name, matching shape, no
+//! duplicates) before it writes the first one. A truncated, bit-flipped or
+//! mismatched blob therefore leaves the store and the optimiser exactly as
+//! they were. `CMREMB1` embedding blobs use the same reader.
 //!
 //! Both formats are byte-for-byte reproducible: saving, loading and saving
 //! again yields an identical blob (moments are written in parameter-id
 //! order, never hash order).
 
 use crate::adam::Adam;
-use crate::crc32::crc32;
+use crate::frame::{bad, put_f32s, put_len, seal, Frame, MAX_DECODE_DIM};
 use crate::param::{ParamId, ParamStore};
 use cmr_tensor::TensorData;
 use std::collections::HashSet;
-use std::io;
+use std::io::{self, Read};
 
 const MAGIC_V1: &[u8; 8] = b"CMRCKPT1";
 const MAGIC_V2: &[u8; 8] = b"CMRCKPT2";
-
-/// Upper bound accepted for tensor dimensions decoded from untrusted bytes.
-/// Generous for any model in this workspace (a 16M-row embedding table)
-/// while keeping `rows * cols * 4` far from overflow, so a hostile shape
-/// field can neither wrap the payload-size check nor drive a huge
-/// allocation.
-pub(crate) const MAX_DECODE_DIM: usize = 1 << 24;
-
-pub(crate) fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-/// Little-endian read cursor over a checkpoint byte slice. Every accessor
-/// is bounds-checked and fails with `InvalidData` instead of panicking.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf }
-    }
-
-    pub(crate) fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub(crate) fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() < n {
-            return Err(bad(format!(
-                "checkpoint truncated: wanted {n} bytes, {} left",
-                self.buf.len()
-            )));
-        }
-        let (head, tail) = self.buf.split_at(n);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    /// Consumes exactly `N` bytes as a fixed-size array. Infallible once
-    /// `take` succeeds, so no panic path is reachable.
-    fn take_array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
-        let head = self.take(N)?;
-        let mut out = [0u8; N];
-        out.copy_from_slice(head);
-        Ok(out)
-    }
-
-    pub(crate) fn get_u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn get_u16_le(&mut self) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.take_array()?))
-    }
-
-    pub(crate) fn get_u32_le(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.take_array()?))
-    }
-
-    pub(crate) fn get_u64_le(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-
-    pub(crate) fn get_f32_le(&mut self) -> io::Result<f32> {
-        Ok(f32::from_le_bytes(self.take_array()?))
-    }
-
-    pub(crate) fn get_f64_le(&mut self) -> io::Result<f64> {
-        Ok(f64::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads a `u32` length prefix followed by that many raw bytes.
-    pub(crate) fn get_len_prefixed(&mut self) -> io::Result<&'a [u8]> {
-        let n = self.get_u32_le()? as usize;
-        self.take(n)
-    }
-}
-
-/// Appends a `u32` length prefix and the bytes themselves.
-pub(crate) fn put_len_prefixed(buf: &mut Vec<u8>, bytes: &[u8]) {
-    // cmr-lint: allow(lossy-cast) serialization length prefix; payloads are far below 4 GiB
-    buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    buf.extend_from_slice(bytes);
-}
+const MAGIC_EMB: &[u8; 8] = b"CMREMB1\0";
 
 fn write_params_body(store: &ParamStore, buf: &mut Vec<u8>) {
-    // cmr-lint: allow(lossy-cast) serialization length prefix; param count never nears 2^32
-    buf.extend_from_slice(&(store.len() as u32).to_le_bytes());
+    put_len(buf, store.len());
     for id in store.ids() {
         let name = store.name(id).as_bytes();
         // cmr-lint: allow(lossy-cast) param names are short identifiers, well under 64 KiB
         buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
         buf.extend_from_slice(name);
         let v = store.value(id);
-        buf.extend_from_slice(&(v.rows as u32).to_le_bytes());
-        buf.extend_from_slice(&(v.cols as u32).to_le_bytes());
+        put_len(buf, v.rows);
+        put_len(buf, v.cols);
         buf.push(u8::from(store.is_frozen(id)));
-        for &x in &v.data {
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
+        put_f32s(buf, &v.data);
     }
 }
 
-fn read_params_body(store: &mut ParamStore, buf: &mut Reader) -> io::Result<()> {
-    let count = buf.get_u32_le()? as usize;
-    // Each entry occupies at least 11 bytes (name length + shape + freeze
-    // flag), so a count claiming more entries than the remaining payload
-    // could hold is hostile or corrupt — reject it before sizing the set.
-    if count > buf.remaining() / 11 {
-        return Err(bad(format!("checkpoint claims {count} params in {} bytes", buf.remaining())));
-    }
-    let mut seen: HashSet<String> = HashSet::with_capacity(count);
+/// One decoded parameter entry, not yet written to any store.
+struct Entry {
+    name: String,
+    frozen: bool,
+    value: TensorData,
+}
+
+fn read_params_body<R: Read>(r: &mut Frame<R>) -> io::Result<Vec<Entry>> {
+    let count = r.u32()? as usize;
+    // Each entry occupies at least 11 bytes: name length, shape, freeze flag.
+    let mut entries = r.vec_for(count, 11)?;
     for _ in 0..count {
-        let name_len = buf.get_u16_le()? as usize;
-        let name = String::from_utf8(buf.take(name_len)?.to_vec())
+        let name_len = r.u16()? as usize;
+        let name = String::from_utf8(r.bytes(name_len)?)
             .map_err(|e| bad(format!("parameter name not utf-8: {e}")))?;
-        let rows = buf.get_u32_le()? as usize;
-        let cols = buf.get_u32_le()? as usize;
+        let rows = r.u32()? as usize;
+        let cols = r.u32()? as usize;
         if rows > MAX_DECODE_DIM || cols > MAX_DECODE_DIM {
             return Err(bad(format!("implausible shape {rows}x{cols} for {name:?}")));
         }
-        let frozen = buf.get_u8()? != 0;
-        let n = rows * cols;
-        if buf.remaining() < n * 4 {
-            return Err(bad(format!("checkpoint truncated inside {name}")));
+        let frozen = r.u8()? != 0;
+        let value = TensorData::new(rows, cols, r.f32s(rows * cols)?);
+        entries.push(Entry { name, frozen, value });
+    }
+    Ok(entries)
+}
+
+fn read_v1(bytes: &[u8]) -> io::Result<Vec<Entry>> {
+    let mut r = Frame::new(bytes, bytes.len());
+    r.magic(MAGIC_V1)?;
+    let entries = read_params_body(&mut r)?;
+    r.finish()?;
+    Ok(entries)
+}
+
+/// Writes decoded entries into `store` once every one of them has been
+/// checked against it, so an entry that does not fit leaves the store
+/// untouched.
+fn apply_params(store: &mut ParamStore, entries: Vec<Entry>) -> io::Result<()> {
+    let mut seen = HashSet::with_capacity(entries.len());
+    let mut ids: Vec<ParamId> = Vec::with_capacity(entries.len());
+    for e in &entries {
+        if !seen.insert(e.name.as_str()) {
+            return Err(bad(format!("duplicate parameter {:?} in checkpoint", e.name)));
         }
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(buf.get_f32_le()?);
-        }
-        if !seen.insert(name.clone()) {
-            return Err(bad(format!("duplicate parameter {name:?} in checkpoint")));
-        }
-        let id: ParamId = store
-            .by_name(&name)
-            .ok_or_else(|| bad(format!("checkpoint parameter {name:?} not in store")))?;
-        let dst = store.value_mut(id);
-        if dst.shape() != (rows, cols) {
+        let id = store
+            .by_name(&e.name)
+            .ok_or_else(|| bad(format!("checkpoint parameter {:?} not in store", e.name)))?;
+        let (have, got) = (store.value(id).shape(), e.value.shape());
+        if have != got {
             return Err(bad(format!(
-                "shape mismatch for {name:?}: checkpoint {rows}x{cols}, store {}x{}",
-                dst.rows, dst.cols
+                "shape mismatch for {:?}: checkpoint {}x{}, store {}x{}",
+                e.name, got.0, got.1, have.0, have.1
             )));
         }
-        *dst = TensorData::new(rows, cols, data);
-        store.set_frozen(id, frozen);
+        ids.push(id);
+    }
+    for (id, e) in ids.into_iter().zip(entries) {
+        *store.value_mut(id) = e.value;
+        store.set_frozen(id, e.frozen);
     }
     Ok(())
 }
@@ -180,8 +117,7 @@ fn read_params_body(store: &mut ParamStore, buf: &mut Reader) -> io::Result<()> 
 /// Serialises every parameter (name, shape, freeze flag, payload) as a v1
 /// `CMRCKPT1` blob.
 pub fn save_params(store: &ParamStore) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC_V1);
+    let mut buf = MAGIC_V1.to_vec();
     write_params_body(store, &mut buf);
     buf
 }
@@ -191,18 +127,13 @@ pub fn save_params(store: &ParamStore) -> Vec<u8> {
 ///
 /// The store must already contain a parameter for every name in the
 /// checkpoint, with a matching shape — checkpoints restore *values*, not
-/// architecture.
+/// architecture. On error the store is unchanged.
 ///
 /// # Errors
-/// Returns `InvalidData` on a bad magic/truncation, an unknown or duplicate
-/// parameter name, or a shape mismatch.
+/// Returns `InvalidData` on a bad magic/truncation/trailing bytes, an
+/// unknown or duplicate parameter name, or a shape mismatch.
 pub fn load_params(store: &mut ParamStore, bytes: &[u8]) -> io::Result<()> {
-    let mut buf = Reader::new(bytes);
-    let magic = buf.take(MAGIC_V1.len())?;
-    if magic != MAGIC_V1 {
-        return Err(bad(format!("bad checkpoint magic {magic:?}")));
-    }
-    read_params_body(store, &mut buf)
+    apply_params(store, read_v1(bytes)?)
 }
 
 /// Trainer-side state carried by a v2 checkpoint alongside the parameters
@@ -226,20 +157,76 @@ pub struct TrainState {
 /// Serialises the full training state — parameters, optimiser, trainer
 /// state — as a v2 `CMRCKPT2` blob with a CRC-32 footer.
 pub fn save_checkpoint(store: &ParamStore, adam: &Adam, state: &TrainState) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC_V2);
+    let mut buf = MAGIC_V2.to_vec();
     write_params_body(store, &mut buf);
-    put_len_prefixed(&mut buf, &adam.save_state());
+    let adam_state = adam.save_state();
+    put_len(&mut buf, adam_state.len());
+    buf.extend_from_slice(&adam_state);
     for w in state.rng {
         buf.extend_from_slice(&w.to_le_bytes());
     }
     buf.extend_from_slice(&state.next_epoch.to_le_bytes());
     buf.extend_from_slice(&state.best_epoch.to_le_bytes());
     buf.extend_from_slice(&state.best_val.to_le_bytes());
-    put_len_prefixed(&mut buf, &state.extra);
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    put_len(&mut buf, state.extra.len());
+    buf.extend_from_slice(&state.extra);
+    seal(&mut buf);
     buf
+}
+
+/// A decoded and verified `CMRCKPT1`/`CMRCKPT2` blob that has not been
+/// written anywhere yet.
+pub struct Checkpoint {
+    params: Vec<Entry>,
+    /// Optimiser and trainer state; `None` for a v1 param-only blob.
+    train: Option<(Adam, TrainState)>,
+}
+
+impl Checkpoint {
+    /// Decodes either checkpoint version in one pass (verifying the v2
+    /// CRC footer at its end) without touching any store.
+    ///
+    /// # Errors
+    /// `InvalidData` on bad magic, truncation, trailing bytes, hostile
+    /// counts or shapes, or a CRC mismatch.
+    pub fn decode(bytes: &[u8]) -> io::Result<Self> {
+        if bytes.starts_with(MAGIC_V1) {
+            return Ok(Checkpoint { params: read_v1(bytes)?, train: None });
+        }
+        let mut r = Frame::sealed(bytes, bytes.len())?;
+        r.magic(MAGIC_V2)?;
+        let params = read_params_body(&mut r)?;
+        let adam = Adam::read_state(&r.len_prefixed()?)?;
+        let mut rng = [0u64; 4];
+        for w in &mut rng {
+            *w = r.u64()?;
+        }
+        let (next_epoch, best_epoch, best_val) = (r.u64()?, r.u64()?, r.f64()?);
+        let extra = r.len_prefixed()?;
+        r.finish()?;
+        let state = TrainState { rng, next_epoch, best_epoch, best_val, extra };
+        Ok(Checkpoint { params, train: Some((adam, state)) })
+    }
+
+    /// The trainer state of a v2 checkpoint (`None` for v1).
+    pub fn state(&self) -> Option<&TrainState> {
+        self.train.as_ref().map(|(_, state)| state)
+    }
+
+    /// Writes the parameters into `store` and, for v2, replaces `adam`,
+    /// returning the trainer state. Every parameter is checked against the
+    /// store first; on error neither `store` nor `adam` is modified.
+    ///
+    /// # Errors
+    /// `InvalidData` on an unknown or duplicate parameter name or a shape
+    /// mismatch.
+    pub fn apply(self, store: &mut ParamStore, adam: &mut Adam) -> io::Result<Option<TrainState>> {
+        apply_params(store, self.params)?;
+        Ok(self.train.map(|(fresh, state)| {
+            *adam = fresh;
+            state
+        }))
+    }
 }
 
 /// Loads either checkpoint version into `store` (and, for v2, `adam`).
@@ -248,57 +235,19 @@ pub fn save_checkpoint(store: &ParamStore, adam: &Adam, state: &TrainState) -> V
 /// param-only blob (parameters restored, optimiser and trainer state left
 /// untouched — a resume from v1 restarts the schedule at epoch 0).
 ///
-/// For v2 the CRC-32 footer is verified before anything is parsed, so a
-/// corrupt file leaves `store` and `adam` unmodified.
+/// The whole blob is decoded and verified before anything is written, so
+/// on error `store` and `adam` are unmodified.
 ///
 /// # Errors
 /// `InvalidData` on bad magic, truncation, CRC mismatch, unknown/duplicate
 /// parameter names, or shape mismatches.
-// cmr-lint: allow(panic-path) every slice is preceded by an explicit length check that returns InvalidData instead
 pub fn load_checkpoint(
     store: &mut ParamStore,
     adam: &mut Adam,
     bytes: &[u8],
 ) -> io::Result<Option<TrainState>> {
-    // cmr-lint: allow(panic-path) the slice is guarded by the length check in the same expression
-    if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 {
-        load_params(store, bytes)?;
-        return Ok(None);
-    }
-    if bytes.len() < MAGIC_V2.len() + 4 {
-        return Err(bad("checkpoint truncated before footer".into()));
-    }
-    // cmr-lint: allow(panic-path) bytes.len() >= MAGIC_V2.len() + 4 was verified just above
-    if &bytes[..8] != MAGIC_V2 {
-        return Err(bad(format!("bad checkpoint magic {:?}", &bytes[..8.min(bytes.len())])));
-    }
-    let (payload, footer) = bytes.split_at(bytes.len() - 4);
-    let stored = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(bad(format!(
-            "checkpoint CRC mismatch: footer {stored:#010x}, payload {actual:#010x}"
-        )));
-    }
-    let mut buf = Reader::new(&payload[MAGIC_V2.len()..]);
-    read_params_body(store, &mut buf)?;
-    let adam_bytes = buf.get_len_prefixed()?;
-    adam.load_state(adam_bytes)?;
-    let mut rng = [0u64; 4];
-    for w in &mut rng {
-        *w = buf.get_u64_le()?;
-    }
-    let next_epoch = buf.get_u64_le()?;
-    let best_epoch = buf.get_u64_le()?;
-    let best_val = buf.get_f64_le()?;
-    let extra = buf.get_len_prefixed()?.to_vec();
-    if buf.remaining() != 0 {
-        return Err(bad(format!("{} trailing bytes after checkpoint", buf.remaining())));
-    }
-    Ok(Some(TrainState { rng, next_epoch, best_epoch, best_val, extra }))
+    Checkpoint::decode(bytes)?.apply(store, adam)
 }
-
-const MAGIC_EMB: &[u8; 8] = b"CMREMB1\0";
 
 /// Serialises a flat embedding matrix (`n` rows × `dim` columns, row-major
 /// little-endian `f32`) as a `CMREMB1` blob with a CRC-32 footer.
@@ -307,7 +256,7 @@ const MAGIC_EMB: &[u8; 8] = b"CMREMB1\0";
 /// model is trained, the encoded gallery embeddings are exported once into
 /// this format so a server can map them back into memory without replaying
 /// the encoder. Like the checkpoints, the blob is byte-for-byte
-/// reproducible and integrity-checked before any field is trusted.
+/// reproducible and integrity-checked.
 ///
 /// # Panics
 /// Panics if `data.len()` is not a multiple of `dim` or `dim == 0`.
@@ -315,74 +264,47 @@ const MAGIC_EMB: &[u8; 8] = b"CMREMB1\0";
 pub fn save_embedding_blob(dim: usize, data: &[f32]) -> Vec<u8> {
     assert!(dim > 0, "save_embedding_blob: dim must be positive");
     assert_eq!(data.len() % dim, 0, "save_embedding_blob: data length not a multiple of dim");
-    let n = data.len() / dim;
     let mut buf = Vec::with_capacity(MAGIC_EMB.len() + 8 + data.len() * 4 + 4);
     buf.extend_from_slice(MAGIC_EMB);
-    // cmr-lint: allow(lossy-cast) serialization header; dims and row counts never near 2^32
-    buf.extend_from_slice(&(dim as u32).to_le_bytes());
-    buf.extend_from_slice(&(n as u32).to_le_bytes());
-    for &x in data {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    put_len(&mut buf, dim);
+    put_len(&mut buf, data.len() / dim);
+    put_f32s(&mut buf, data);
+    seal(&mut buf);
     buf
 }
 
 /// Loads a `CMREMB1` embedding blob, returning `(dim, row_major_data)`.
 ///
-/// The CRC-32 footer is verified before the payload is parsed, so a
-/// truncated or bit-flipped file is rejected without partial results.
-///
 /// # Errors
 /// `InvalidData` on bad magic, truncation, CRC mismatch, or a payload whose
 /// length disagrees with the header.
 pub fn load_embedding_blob(bytes: &[u8]) -> io::Result<(usize, Vec<f32>)> {
-    if bytes.len() < MAGIC_EMB.len() + 8 + 4 {
-        return Err(bad("embedding blob truncated before footer".into()));
-    }
-    let (payload, footer) = bytes.split_at(bytes.len() - 4);
-    let mut f = Reader::new(footer);
-    let stored = f.get_u32_le()?;
-    let actual = crc32(payload);
-    if stored != actual {
-        return Err(bad(format!(
-            "embedding blob CRC mismatch: footer {stored:#010x}, payload {actual:#010x}"
-        )));
-    }
-    let mut buf = Reader::new(payload);
-    let magic = buf.take(MAGIC_EMB.len())?;
-    if magic != MAGIC_EMB {
-        return Err(bad(format!("bad embedding blob magic {magic:?}")));
-    }
-    let dim = buf.get_u32_le()? as usize;
-    let n = buf.get_u32_le()? as usize;
+    let mut r = Frame::sealed(bytes, bytes.len())?;
+    r.magic(MAGIC_EMB)?;
+    let dim = r.u32()? as usize;
+    let n = r.u32()? as usize;
     if dim == 0 {
         return Err(bad("embedding blob has zero dim".into()));
     }
     if n > MAX_DECODE_DIM || dim > MAX_DECODE_DIM {
         return Err(bad(format!("implausible embedding shape {n}x{dim}")));
     }
-    let want = n
-        .checked_mul(dim)
-        .and_then(|e| e.checked_mul(4))
-        .ok_or_else(|| bad(format!("embedding blob header overflow: {n} x {dim}")))?;
-    if buf.remaining() != want {
+    if r.remaining() != n * dim * 4 {
         return Err(bad(format!(
-            "embedding blob payload is {} bytes, header promises {want}",
-            buf.remaining()
+            "embedding blob payload is {} bytes, header promises {}",
+            r.remaining(),
+            n * dim * 4
         )));
     }
-    let mut data = Vec::with_capacity(n * dim);
-    for _ in 0..n * dim {
-        data.push(buf.get_f32_le()?);
-    }
+    let data = r.f32s(n * dim)?;
+    r.finish()?;
     Ok((dim, data))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::crc32;
     use cmr_tensor::{init, Graph};
     use rand::SeedableRng;
 
@@ -606,6 +528,53 @@ mod tests {
             let j = dst.by_name(name).unwrap();
             assert_eq!(src.value(i).data, dst.value(j).data, "{name}");
         }
+    }
+
+    /// Bit patterns of every parameter, with its freeze flag — the
+    /// "destination unchanged" comparison surface.
+    fn snapshot_bits(store: &ParamStore) -> Vec<(String, bool, Vec<u32>)> {
+        store
+            .ids()
+            .map(|id| {
+                let bits = store.value(id).data.iter().map(|x| x.to_bits()).collect();
+                (store.name(id).to_string(), store.is_frozen(id), bits)
+            })
+            .collect()
+    }
+
+    /// A v1 blob whose *second* entry does not fit the destination must
+    /// fail without having written the first one: `{a.w, b.w}` into a
+    /// store holding only `a.w` leaves `a.w` bit-for-bit unchanged.
+    #[test]
+    fn failed_v1_load_leaves_the_store_untouched() {
+        let blob = save_params(&store_with(1));
+        let mut dst = ParamStore::new();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(99);
+        dst.register("a.w", init::normal(&mut rng, 3, 4, 1.0));
+        let before = snapshot_bits(&dst);
+        assert!(load_params(&mut dst, &blob).is_err());
+        assert_eq!(snapshot_bits(&dst), before, "load_params half-applied");
+        let mut adam = Adam::new(0.1);
+        assert!(load_checkpoint(&mut dst, &mut adam, &blob).is_err());
+        assert_eq!(snapshot_bits(&dst), before, "load_checkpoint(v1) half-applied");
+    }
+
+    /// The v2 twin: a CRC-valid `CMRCKPT2` blob loaded into a store that
+    /// lacks one of its parameters fails and leaves both the store and the
+    /// optimiser exactly as they were.
+    #[test]
+    fn failed_v2_load_leaves_store_and_optimiser_untouched() {
+        let mut src = store_with(3);
+        let adam = stepped_adam(&mut src, 2);
+        let blob = save_checkpoint(&src, &adam, &TrainState { best_val: 1.5, ..TrainState::default() });
+        let mut dst = ParamStore::new();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(98);
+        dst.register("a.w", init::normal(&mut rng, 3, 4, 1.0));
+        let mut dst_adam = stepped_adam(&mut dst, 1);
+        let (before, adam_before) = (snapshot_bits(&dst), dst_adam.save_state());
+        assert!(load_checkpoint(&mut dst, &mut dst_adam, &blob).is_err());
+        assert_eq!(snapshot_bits(&dst), before, "store half-applied");
+        assert_eq!(dst_adam.save_state(), adam_before, "optimiser half-applied");
     }
 
     /// A count field claiming ~2^30 parameters in a tiny blob must be

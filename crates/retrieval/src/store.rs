@@ -3,9 +3,9 @@
 //! A million-row gallery takes minutes of k-means to index; serving
 //! replicas must not pay that on every boot. This module serializes a
 //! built [`IvfIndex`] (flat or PQ cells) to one integrity-checked blob and
-//! loads it back byte-identically, reusing the `CMRCKPT` durability
-//! patterns: [`cmr_nn::atomic_write`] (temp + fsync + rename) on save, a
-//! CRC-32 footer on load.
+//! loads it back byte-identically, with the same machinery as the
+//! `CMRCKPT` checkpoints: [`cmr_nn::atomic_write`] (temp + fsync + rename)
+//! on save, and the shared [`Frame`] reader with its CRC-32 footer on load.
 //!
 //! ## Layout (all integers little-endian)
 //!
@@ -23,22 +23,22 @@
 //!
 //! ## Hostile-input posture
 //!
-//! The loader treats the file as attacker-shaped bytes (the cmr-lint taint
-//! gate): every count is checked against the remaining payload *before*
-//! sizing any collection, shape fields are capped at [`MAX_DECODE_DIM`],
-//! size arithmetic is `checked_mul`, and row ids are range- and
-//! duplicate-checked before they may ever index a gallery. Unlike the
-//! checkpoint loader (which verifies its CRC first, because it mutates an
-//! existing store), this loader streams the file through an incremental
-//! [`cmr_nn::crc32::Hasher`] — 256 KiB page-multiple buffers, no
-//! whole-file allocation — and verifies the footer at the end; it only
-//! ever builds fresh structures, so a corrupt tail discards them.
+//! The loader treats the file as attacker-shaped bytes. Shape fields are
+//! capped at [`MAX_DECODE_DIM`] before they size anything; every count
+//! goes through a [`Frame`] helper that rejects it unless the remaining
+//! payload can hold it; and row ids are range- and duplicate-checked
+//! before they may ever index a gallery. The cmr-lint taint gate traces
+//! the decoded counts into each allocation here and in the frame helpers,
+//! and reports every one of those flows as sanitized. [`load_index`]
+//! streams the file through a 256 KiB buffer with no whole-file copy,
+//! builds only fresh structures, and verifies the footer at the end, so a
+//! corrupt file yields an error and nothing else.
 
 use crate::embeddings::Embeddings;
 use crate::ivf::{CellStorage, IvfIndex};
 use crate::pq::ProductQuantizer;
 use cmr_nn::atomic_write;
-use cmr_nn::crc32::Hasher;
+use cmr_nn::frame::{bad, put_f32s, put_len, seal, Frame, MAX_DECODE_DIM};
 use std::fs::File;
 use std::io::{self, BufReader, Read};
 use std::path::Path;
@@ -47,20 +47,8 @@ const MAGIC: &[u8; 8] = b"CMRIVF1\0";
 const KIND_FLAT: u8 = 0;
 const KIND_PQ: u8 = 1;
 
-/// Upper bound accepted for dimensions and row counts decoded from
-/// untrusted bytes — same rationale as the checkpoint decoder's cap: far
-/// above any gallery in this workspace while keeping every size product
-/// comfortably below overflow.
-const MAX_DECODE_DIM: usize = 1 << 24;
-
-/// Chunk size for streamed payload reads: 64 pages, so large f32 arrays
-/// are converted in page-aligned buffer multiples instead of a whole-file
-/// allocation.
-const CHUNK: usize = 1 << 18;
-
-fn bad(msg: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg)
-}
+/// Read buffer for streamed loads: 64 pages.
+const READ_BUF: usize = 1 << 18;
 
 /// Serialises `index` as one `CMRIVF1` blob (byte-deterministic: the same
 /// index always produces the same bytes).
@@ -76,45 +64,34 @@ pub fn index_to_bytes(index: &IvfIndex) -> Vec<u8> {
     assert!(n <= u32::MAX as usize, "CMRIVF1 stores row ids as u32; index has {n} rows");
     let mut buf = Vec::with_capacity(64 + nlist * dim * 4 + n * (dim * 4 + 8));
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(dim as u32).to_le_bytes());
-    buf.extend_from_slice(&(nlist as u32).to_le_bytes());
+    put_len(&mut buf, dim);
+    put_len(&mut buf, nlist);
     buf.extend_from_slice(&(n as u64).to_le_bytes());
     match &index.storage {
         CellStorage::Flat(_) => buf.push(KIND_FLAT),
         CellStorage::Pq { pq, .. } => {
             buf.push(KIND_PQ);
-            buf.extend_from_slice(&(pq.m() as u32).to_le_bytes());
-            buf.extend_from_slice(&(pq.ks() as u32).to_le_bytes());
+            put_len(&mut buf, pq.m());
+            put_len(&mut buf, pq.ks());
         }
     }
-    for &x in &index.centroids.data {
-        buf.extend_from_slice(&x.to_le_bytes());
-    }
+    put_f32s(&mut buf, &index.centroids.data);
     for cell in &index.cells {
-        // cmr-lint: allow(lossy-cast) cell sizes and row ids are < n, asserted <= u32::MAX above
-        buf.extend_from_slice(&(cell.len() as u32).to_le_bytes());
+        put_len(&mut buf, cell.len());
         for &id in cell {
             buf.extend_from_slice(&(id as u32).to_le_bytes());
         }
     }
     match &index.storage {
-        CellStorage::Flat(gallery) => {
-            for &x in &gallery.data {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
+        CellStorage::Flat(gallery) => put_f32s(&mut buf, &gallery.data),
         CellStorage::Pq { pq, codes } => {
-            for &x in pq.codebooks() {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
+            put_f32s(&mut buf, pq.codebooks());
             for cell_codes in codes {
                 buf.extend_from_slice(cell_codes);
             }
         }
     }
-    let mut h = Hasher::new();
-    h.update(&buf);
-    buf.extend_from_slice(&h.finalize().to_le_bytes());
+    seal(&mut buf);
     buf
 }
 
@@ -139,8 +116,9 @@ pub fn save_index(index: &IvfIndex, path: &Path) -> io::Result<()> {
 /// error from reading.
 pub fn load_index(path: &Path) -> io::Result<IvfIndex> {
     let file = File::open(path)?;
-    let total = file.metadata()?.len();
-    decode_index(BufReader::with_capacity(CHUNK, file), total)
+    let len = usize::try_from(file.metadata()?.len())
+        .map_err(|_| bad(format!("{} does not fit in memory", path.display())))?;
+    decode_index(BufReader::with_capacity(READ_BUF, file), len)
 }
 
 /// Decodes a `CMRIVF1` blob held in memory (the loader behind
@@ -149,154 +127,32 @@ pub fn load_index(path: &Path) -> io::Result<IvfIndex> {
 /// # Errors
 /// Same conditions as [`load_index`].
 pub fn index_from_bytes(bytes: &[u8]) -> io::Result<IvfIndex> {
-    decode_index(bytes, bytes.len() as u64)
+    decode_index(bytes, bytes.len())
 }
 
-/// Little-endian streaming cursor over the payload of a `CMRIVF1` file:
-/// bounds-checks every read against the remaining payload, feeds every
-/// consumed byte into the running CRC, and never allocates more than the
-/// remaining payload could justify.
-struct FrameReader<R: Read> {
-    inner: R,
-    /// Payload bytes not yet consumed (excludes the 4-byte footer).
-    remaining: usize,
-    crc: Hasher,
-}
-
-impl<R: Read> FrameReader<R> {
-    fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Reads exactly `buf.len()` payload bytes.
-    fn fill(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        if buf.len() > self.remaining {
-            return Err(bad(format!(
-                "index truncated: wanted {} bytes, {} left",
-                buf.len(),
-                self.remaining
-            )));
-        }
-        self.inner.read_exact(buf)?;
-        self.crc.update(buf);
-        self.remaining -= buf.len();
-        Ok(())
-    }
-
-    fn get_u8(&mut self) -> io::Result<u8> {
-        let mut b = [0u8; 1];
-        self.fill(&mut b)?;
-        Ok(u8::from_le_bytes(b))
-    }
-
-    fn get_u32_le(&mut self) -> io::Result<u32> {
-        let mut b = [0u8; 4];
-        self.fill(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn get_u64_le(&mut self) -> io::Result<u64> {
-        let mut b = [0u8; 8];
-        self.fill(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads `count` little-endian f32s in `CHUNK`-sized buffer steps.
-    // cmr-lint: allow(panic-path) chunks_exact(4) yields exactly 4-byte windows, so quad[0..4] are in range
-    fn get_f32_vec(&mut self, count: usize) -> io::Result<Vec<f32>> {
-        // Four payload bytes per element: a count claiming more elements
-        // than the remaining payload holds is hostile or corrupt — reject
-        // it before sizing the vector.
-        if count > self.remaining / 4 {
-            return Err(bad(format!(
-                "index claims {count} f32s in {} bytes",
-                self.remaining
-            )));
-        }
-        let mut out = Vec::with_capacity(count);
-        let mut chunk = [0u8; CHUNK];
-        let mut left = count * 4;
-        while left > 0 {
-            let take = left.min(CHUNK);
-            let buf = &mut chunk[..take];
-            self.fill(buf)?;
-            for quad in buf.chunks_exact(4) {
-                out.push(f32::from_le_bytes([quad[0], quad[1], quad[2], quad[3]]));
-            }
-            left -= take;
-        }
-        Ok(out)
-    }
-
-    /// Reads `count` raw bytes.
-    fn get_u8_vec(&mut self, count: usize) -> io::Result<Vec<u8>> {
-        if count > self.remaining {
-            return Err(bad(format!(
-                "index claims {count} code bytes in {} bytes",
-                self.remaining
-            )));
-        }
-        let mut out = vec![0u8; count];
-        self.fill(&mut out)?;
-        Ok(out)
-    }
-
-    /// Consumes the 4-byte CRC footer (outside the checksummed payload)
-    /// and compares it against everything read so far.
-    fn verify_footer(mut self) -> io::Result<()> {
-        if self.remaining != 0 {
-            return Err(bad(format!("{} unconsumed payload bytes", self.remaining)));
-        }
-        let actual = self.crc.finalize();
-        let mut b = [0u8; 4];
-        self.inner.read_exact(&mut b)?;
-        let stored = u32::from_le_bytes(b);
-        if stored != actual {
-            return Err(bad(format!(
-                "index CRC mismatch: footer {stored:#010x}, payload {actual:#010x}"
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn decode_index(reader: impl Read, total_len: u64) -> io::Result<IvfIndex> {
-    // Smallest well-formed file: magic + shape header + kind + footer.
-    let min = (MAGIC.len() + 4 + 4 + 8 + 1 + 4) as u64;
-    if total_len < min {
-        return Err(bad(format!("index file is {total_len} bytes, minimum is {min}")));
-    }
-    let mut r = FrameReader {
-        inner: reader,
-        remaining: (total_len - 4) as usize,
-        crc: Hasher::new(),
-    };
-
-    let mut magic = [0u8; 8];
-    r.fill(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad(format!("bad index magic {magic:?}")));
-    }
-    let dim = r.get_u32_le()? as usize;
-    let nlist = r.get_u32_le()? as usize;
-    let n64 = r.get_u64_le()?;
+fn decode_index(reader: impl Read, len: usize) -> io::Result<IvfIndex> {
+    let mut r = Frame::sealed(reader, len)?;
+    r.magic(MAGIC)?;
+    let dim = r.u32()? as usize;
+    let nlist = r.u32()? as usize;
+    let n = r.u64()?;
     if dim == 0 || dim > MAX_DECODE_DIM {
         return Err(bad(format!("implausible index dim {dim}")));
     }
     if nlist == 0 || nlist > MAX_DECODE_DIM {
         return Err(bad(format!("implausible cell count {nlist}")));
     }
-    if n64 > MAX_DECODE_DIM as u64 {
-        return Err(bad(format!("implausible row count {n64}")));
+    if n > MAX_DECODE_DIM as u64 {
+        return Err(bad(format!("implausible row count {n}")));
     }
-    let n = n64 as usize;
+    let n = n as usize;
 
-    let kind = r.get_u8()?;
+    let kind = r.u8()?;
     let pq_shape = match kind {
         KIND_FLAT => None,
         KIND_PQ => {
-            let m = r.get_u32_le()? as usize;
-            let ks = r.get_u32_le()? as usize;
+            let m = r.u32()? as usize;
+            let ks = r.u32()? as usize;
             if m == 0 || m > dim || dim % m != 0 {
                 return Err(bad(format!("quantizer m {m} does not divide dim {dim}")));
             }
@@ -307,11 +163,7 @@ fn decode_index(reader: impl Read, total_len: u64) -> io::Result<IvfIndex> {
         }
         other => return Err(bad(format!("unknown storage kind {other}"))),
     };
-
-    let centroid_count = nlist
-        .checked_mul(dim)
-        .ok_or_else(|| bad(format!("centroid size overflow: {nlist} x {dim}")))?;
-    let centroids = Embeddings::new(dim, r.get_f32_vec(centroid_count)?);
+    let centroids = Embeddings::new(dim, r.f32s(nlist * dim)?);
 
     // Cells: counts and ids are attacker-shaped. Each id must be a unique
     // gallery row below n, and the counts must tile n exactly — the flat
@@ -321,27 +173,17 @@ fn decode_index(reader: impl Read, total_len: u64) -> io::Result<IvfIndex> {
     let mut seen = vec![false; n];
     let mut assigned = 0usize;
     for c in 0..nlist {
-        let count = r.get_u32_le()? as usize;
-        if count > r.remaining() / 4 {
-            return Err(bad(format!(
-                "cell {c} claims {count} ids in {} bytes",
-                r.remaining()
-            )));
-        }
+        let count = r.u32()? as usize;
+        let mut cell = r.vec_for(count, 4)?;
         if assigned + count > n {
-            return Err(bad(format!(
-                "cells claim more than the {n} rows the header promises"
-            )));
+            return Err(bad(format!("cells claim more than the {n} rows the header promises")));
         }
-        let mut cell = Vec::with_capacity(count);
         for _ in 0..count {
-            let id = r.get_u32_le()? as usize;
+            let id = r.u32()? as usize;
             // One get_mut covers both hostile cases — an out-of-range id
             // and a duplicate — with no indexing panic path at all.
             match seen.get_mut(id) {
-                None => {
-                    return Err(bad(format!("cell {c} references row {id}, index has {n}")))
-                }
+                None => return Err(bad(format!("cell {c} references row {id}, index has {n}"))),
                 Some(s) if *s => return Err(bad(format!("row {id} appears in two cells"))),
                 Some(s) => *s = true,
             }
@@ -351,43 +193,31 @@ fn decode_index(reader: impl Read, total_len: u64) -> io::Result<IvfIndex> {
         cells.push(cell);
     }
     if assigned != n {
-        return Err(bad(format!(
-            "cells hold {assigned} rows, header promises {n}"
-        )));
+        return Err(bad(format!("cells hold {assigned} rows, header promises {n}")));
     }
 
     let storage = match pq_shape {
-        None => {
-            let gallery_count = n
-                .checked_mul(dim)
-                .ok_or_else(|| bad(format!("gallery size overflow: {n} x {dim}")))?;
-            CellStorage::Flat(Embeddings { dim, data: r.get_f32_vec(gallery_count)? })
-        }
+        None => CellStorage::Flat(Embeddings { dim, data: r.f32s(n * dim)? }),
         Some((m, ks)) => {
             // m * ks * (dim/m) == ks * dim exactly (m divides dim).
-            let codebook_count = ks
-                .checked_mul(dim)
-                .ok_or_else(|| bad(format!("codebook size overflow: {ks} x {dim}")))?;
-            let pq = ProductQuantizer::from_parts(dim, m, ks, r.get_f32_vec(codebook_count)?)
+            let pq = ProductQuantizer::from_parts(dim, m, ks, r.f32s(ks * dim)?)
                 .map_err(|e| bad(format!("bad quantizer: {e}")))?;
             let mut codes: Vec<Vec<u8>> = Vec::with_capacity(nlist);
             for cell in &cells {
-                let count = cell.len().checked_mul(m).ok_or_else(|| {
-                    bad(format!("code size overflow: {} x {m}", cell.len()))
-                })?;
-                codes.push(r.get_u8_vec(count)?);
+                codes.push(r.bytes(cell.len() * m)?);
             }
             CellStorage::Pq { pq, codes }
         }
     };
 
-    r.verify_footer()?;
+    r.finish()?;
     Ok(IvfIndex { centroids, cells, storage, n })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmr_nn::crc32::Hasher;
     use rand::{Rng, SeedableRng};
 
     fn clustered_gallery(n: usize, dim: usize, seed: u64) -> Embeddings {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Repo verification gate: the tier-1 build/test gate plus the robustness
-# suites (fault injection + checkpoint round-trip properties) and the
-# serving gate (live server + loadgen smoke + archived benchmark).
+# Repo verification gate: the tier-1 build/test gate, a type-check of the
+# benchmark (perfbench/) against its lockfile, the robustness suites
+# (fault injection + checkpoint round-trip properties) and the serving gate
+# (live server + loadgen smoke + archived benchmark).
 #
 #   ./scripts/verify.sh
 #
@@ -35,6 +36,15 @@ gate() {
 }
 
 gate "tier 1: release build" cargo build --release
+
+# Benchmark build gate: perfbench/ is its own Cargo workspace that depends
+# on crates/* by path and on the public API they export (e.g.
+# cmr_nn::load_embedding_blob, cmr_retrieval::load_index). Type-check it
+# against its committed lockfile so a public-API break or lockfile drift
+# fails here rather than in the benchmark run.
+gate "benchmark: perfbench type-checks against its lockfile" \
+    env CARGO_TARGET_DIR=.bench_build \
+    cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 mkdir -p results
 gate "static analysis: cmr-lint" cargo run -p cmr-lint --release -q -- \
