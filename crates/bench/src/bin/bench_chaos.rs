@@ -19,13 +19,12 @@
 //! ```
 
 use cmr_bench::json::{Json, ToJson};
-use cmr_bench::serving::{percentile, synthetic_gallery, synthetic_query, Client};
+use cmr_bench::serving::{closed_loop, percentile, synthetic_gallery, Load, Tally};
 use cmr_serve::{
     Fault, FaultPlan, FaultProxy, Router, RouterConfig, ServeConfig, ShardFleet, ShardSpec,
 };
-use rand::SeedableRng;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct Args {
     shards: usize,
@@ -125,17 +124,7 @@ const MIXES: &[Mix] = &[
     Mix { name: "kill_one", plan_for: |_, _| FaultPlan::healthy(), kill_worker: Some(0) },
 ];
 
-struct MixResult {
-    name: &'static str,
-    requests: usize,
-    ok: u64,
-    degraded: u64,
-    failed: u64,
-    elapsed_s: f64,
-    latencies: Vec<f64>,
-}
-
-fn run_mix(mix: &Mix, args: &Args) -> MixResult {
+fn run_mix(mix: &Mix, args: &Args) -> Tally {
     let recipes = synthetic_gallery(args.gallery, args.dim, args.seed);
     let images = synthetic_gallery(args.gallery, args.dim, args.seed.wrapping_add(1));
     let worker_cfg = ServeConfig::default();
@@ -170,66 +159,22 @@ fn run_mix(mix: &Mix, args: &Args) -> MixResult {
     let front_cfg = ServeConfig { cache_capacity: 0, ..ServeConfig::default() };
     let mut front =
         cmr_serve::Server::start_sharded(router, front_cfg, "127.0.0.1:0").expect("bind front");
-    let addr = front.local_addr().to_string();
-
-    let start = Instant::now();
-    let handles: Vec<_> = (0..args.clients)
-        .map(|id| {
-            let addr = addr.clone();
-            let (dim, k, requests, seed) = (args.dim, args.k, args.requests, args.seed);
-            std::thread::spawn(move || {
-                let mut client =
-                    Client::connect(&addr, Duration::from_secs(20)).expect("connect client");
-                let mut rng =
-                    rand::rngs::SmallRng::seed_from_u64(seed.wrapping_add(1000 + id as u64));
-                let (mut ok, mut degraded, mut failed) = (0u64, 0u64, 0u64);
-                let mut latencies = Vec::with_capacity(requests);
-                for r in 0..requests {
-                    let query = synthetic_query(dim, &mut rng);
-                    let direction = if r % 2 == 0 { "im2rec" } else { "rec2im" };
-                    let sent = Instant::now();
-                    match client.search(direction, k, &query) {
-                        Ok(resp) if resp.status == 200 => {
-                            latencies.push(sent.elapsed().as_secs_f64());
-                            let body = String::from_utf8_lossy(&resp.body);
-                            if body.contains("\"degraded\":true") {
-                                degraded += 1;
-                            } else {
-                                ok += 1;
-                            }
-                        }
-                        _ => failed += 1,
-                    }
-                }
-                (ok, degraded, failed, latencies)
-            })
-        })
-        .collect();
-    let (mut ok, mut degraded, mut failed) = (0u64, 0u64, 0u64);
-    let mut latencies: Vec<f64> = Vec::new();
-    for h in handles {
-        let (o, d, f, l) = h.join().expect("client thread");
-        ok += o;
-        degraded += d;
-        failed += f;
-        latencies.extend(l);
-    }
-    let elapsed_s = start.elapsed().as_secs_f64();
+    // Unique queries, from seeds clear of the fleet's gallery seeds.
+    let load = Load {
+        clients: args.clients,
+        requests: args.requests,
+        dim: args.dim,
+        k: args.k,
+        seed: args.seed.wrapping_add(1000),
+        repeat_frac: 0.0,
+    };
+    let tally = closed_loop(&front.local_addr().to_string(), &load);
     front.shutdown();
     for p in &mut proxies {
         p.shutdown();
     }
     fleet.shutdown();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    MixResult {
-        name: mix.name,
-        requests: args.clients * args.requests,
-        ok,
-        degraded,
-        failed,
-        elapsed_s,
-        latencies,
-    }
+    tally
 }
 
 fn main() {
@@ -244,25 +189,25 @@ fn main() {
 
     let mut mix_jsons: Vec<Json> = Vec::new();
     let mut total_failed = 0u64;
+    let requests = args.clients * args.requests;
     for mix in MIXES {
         let r = run_mix(mix, &args);
-        let total = r.requests as u64;
-        let availability = (r.ok + r.degraded) as f64 / (total.max(1)) as f64;
+        let availability = (r.ok + r.degraded) as f64 / requests.max(1) as f64;
         println!(
             "bench_chaos: {:>9} | ok {:>3} degraded {:>3} failed {:>3} | availability {:.4} | p50 {:.6}s p99 {:.6}s p999 {:.6}s",
-            r.name,
+            mix.name,
             r.ok,
             r.degraded,
             r.failed,
             availability,
-            percentile(&r.latencies, 0.50),
-            percentile(&r.latencies, 0.99),
-            percentile(&r.latencies, 0.999),
+            percentile(&r.latencies_s, 0.50),
+            percentile(&r.latencies_s, 0.99),
+            percentile(&r.latencies_s, 0.999),
         );
         total_failed += r.failed;
         mix_jsons.push(Json::obj([
-            ("name", r.name.to_json()),
-            ("requests", r.requests.to_json()),
+            ("name", mix.name.to_json()),
+            ("requests", requests.to_json()),
             ("ok", r.ok.to_json()),
             ("degraded", r.degraded.to_json()),
             ("failed", r.failed.to_json()),
@@ -271,10 +216,10 @@ fn main() {
             (
                 "latency_s",
                 Json::obj([
-                    ("p50", percentile(&r.latencies, 0.50).to_json()),
-                    ("p99", percentile(&r.latencies, 0.99).to_json()),
-                    ("p999", percentile(&r.latencies, 0.999).to_json()),
-                    ("max", r.latencies.last().copied().unwrap_or(0.0).to_json()),
+                    ("p50", percentile(&r.latencies_s, 0.50).to_json()),
+                    ("p99", percentile(&r.latencies_s, 0.99).to_json()),
+                    ("p999", percentile(&r.latencies_s, 0.999).to_json()),
+                    ("max", r.latencies_s.last().copied().unwrap_or(0.0).to_json()),
                 ]),
             ),
         ]));

@@ -1,11 +1,9 @@
-//! Load generator for a running retrieval server.
+//! Closed-loop load generator for a running retrieval server.
 //!
-//! Closed-loop mode (`--mode closed`, the default) runs `--clients`
-//! keep-alive connections, each issuing `--requests` back-to-back search
-//! queries. Open-loop mode (`--mode open`) spreads a target arrival rate
-//! (`--rate`, total requests/s) across the clients; a client whose next
-//! slot arrives while it is still waiting on a response counts the send as
-//! `late` (the open-loop signal that the server has fallen behind).
+//! Runs `--clients` keep-alive connections, each issuing `--requests`
+//! back-to-back search queries (a fifth of them repeats, to exercise the
+//! server-side cache), and counts every response as ok, degraded or
+//! failed.
 //!
 //! ```text
 //! cargo run --release -p cmr-bench --bin loadgen -- \
@@ -15,36 +13,15 @@
 //! Prints one summary line and exits non-zero if any request failed, so
 //! scripts can use it as a smoke gate.
 
-use cmr_bench::serving::{percentile, synthetic_query, Client};
-use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use cmr_bench::serving::{closed_loop, percentile, Load};
 
-struct Args {
-    addr: String,
-    clients: usize,
-    requests: usize,
-    dim: usize,
-    k: usize,
-    seed: u64,
-    open_loop: bool,
-    rate: f64,
-    repeat_frac: f64,
-}
+/// Fraction of queries re-sent from each client's small repeat pool.
+const REPEAT_FRAC: f64 = 0.2;
 
-fn parse_args() -> Args {
-    let mut a = Args {
-        addr: String::new(),
-        clients: 4,
-        requests: 50,
-        dim: 32,
-        k: 10,
-        seed: 7,
-        open_loop: false,
-        rate: 200.0,
-        repeat_frac: 0.2,
-    };
+fn parse_args() -> (String, Load) {
+    let mut addr = String::new();
+    let mut load =
+        Load { clients: 4, requests: 50, dim: 32, k: 10, seed: 7, repeat_frac: REPEAT_FRAC };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -54,124 +31,35 @@ fn parse_args() -> Args {
             argv.get(i).unwrap_or_else(|| panic!("{flag} takes a value")).clone()
         };
         match flag {
-            "--addr" => a.addr = value(),
-            "--clients" => a.clients = value().parse().expect("--clients takes a number"),
-            "--requests" => a.requests = value().parse().expect("--requests takes a number"),
-            "--dim" => a.dim = value().parse().expect("--dim takes a number"),
-            "--k" => a.k = value().parse().expect("--k takes a number"),
-            "--seed" => a.seed = value().parse().expect("--seed takes a number"),
-            "--mode" => {
-                a.open_loop = match value().as_str() {
-                    "open" => true,
-                    "closed" => false,
-                    other => panic!("unknown mode {other:?} (open|closed)"),
-                }
-            }
-            "--rate" => a.rate = value().parse().expect("--rate takes requests/s"),
-            "--repeat-frac" => {
-                a.repeat_frac = value().parse().expect("--repeat-frac takes a fraction")
-            }
+            "--addr" => addr = value(),
+            "--clients" => load.clients = value().parse().expect("--clients takes a number"),
+            "--requests" => load.requests = value().parse().expect("--requests takes a number"),
+            "--dim" => load.dim = value().parse().expect("--dim takes a number"),
+            "--k" => load.k = value().parse().expect("--k takes a number"),
+            "--seed" => load.seed = value().parse().expect("--seed takes a number"),
             other => panic!("unknown argument {other:?}"),
         }
         i += 1;
     }
-    assert!(!a.addr.is_empty(), "--addr is required (host:port of a running server)");
-    a
-}
-
-struct ClientOutcome {
-    latencies_s: Vec<f64>,
-    errors: u64,
-    late: u64,
-}
-
-fn run_client(args: &Args, id: usize, errors_seen: &AtomicU64) -> ClientOutcome {
-    let mut out = ClientOutcome { latencies_s: Vec::new(), errors: 0, late: 0 };
-    let mut client = match Client::connect(&args.addr, Duration::from_secs(10)) {
-        Ok(c) => c,
-        Err(_) => {
-            out.errors = args.requests as u64;
-            errors_seen.fetch_add(out.errors, Ordering::Relaxed);
-            return out;
-        }
-    };
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(args.seed.wrapping_add(id as u64));
-    // A small pool of repeated queries exercises the server-side cache.
-    let pool: Vec<Vec<f32>> = (0..8).map(|_| synthetic_query(args.dim, &mut rng)).collect();
-    let period = if args.open_loop {
-        Duration::from_secs_f64(args.clients as f64 / args.rate.max(1e-3))
-    } else {
-        Duration::ZERO
-    };
-    let start = Instant::now();
-    for r in 0..args.requests {
-        if args.open_loop {
-            let due = start + period.mul_f64(r as f64);
-            let now = Instant::now();
-            if now < due {
-                std::thread::sleep(due - now);
-            } else if r > 0 {
-                out.late += 1;
-            }
-        }
-        let query = if rng.gen_bool(args.repeat_frac.clamp(0.0, 1.0)) {
-            pool[rng.gen_range(0..pool.len())].clone()
-        } else {
-            synthetic_query(args.dim, &mut rng)
-        };
-        let direction = if r % 2 == 0 { "im2rec" } else { "rec2im" };
-        let sent = Instant::now();
-        match client.search(direction, args.k, &query) {
-            Ok(resp) if resp.status == 200 => {
-                out.latencies_s.push(sent.elapsed().as_secs_f64());
-            }
-            _ => {
-                out.errors += 1;
-                errors_seen.fetch_add(1, Ordering::Relaxed);
-                // The connection may be poisoned after an error; reconnect.
-                match Client::connect(&args.addr, Duration::from_secs(10)) {
-                    Ok(c) => client = c,
-                    Err(_) => break,
-                }
-            }
-        }
-    }
-    out
+    assert!(!addr.is_empty(), "--addr is required (host:port of a running server)");
+    (addr, load)
 }
 
 fn main() {
-    let args = Arc::new(parse_args());
-    let errors_seen = Arc::new(AtomicU64::new(0));
-    let start = Instant::now();
-    let handles: Vec<_> = (0..args.clients)
-        .map(|id| {
-            let args = Arc::clone(&args);
-            let errors_seen = Arc::clone(&errors_seen);
-            std::thread::spawn(move || run_client(&args, id, &errors_seen))
-        })
-        .collect();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut errors = 0u64;
-    let mut late = 0u64;
-    for h in handles {
-        let out = h.join().expect("client thread");
-        latencies.extend(out.latencies_s);
-        errors += out.errors;
-        late += out.late;
-    }
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let ok = latencies.len();
-    let mode = if args.open_loop { "open" } else { "closed" };
+    let (addr, load) = parse_args();
+    let t = closed_loop(&addr, &load);
     println!(
-        "loadgen: mode {mode} clients {} ok {ok} errors {errors} late {late} | {:.1} req/s | p50 {:.6}s p99 {:.6}s p999 {:.6}s",
-        args.clients,
-        ok as f64 / elapsed,
-        percentile(&latencies, 0.50),
-        percentile(&latencies, 0.99),
-        percentile(&latencies, 0.999),
+        "loadgen: clients {} ok {} degraded {} failed {} | {:.1} req/s | p50 {:.6}s p99 {:.6}s p999 {:.6}s",
+        load.clients,
+        t.ok,
+        t.degraded,
+        t.failed,
+        t.latencies_s.len() as f64 / t.elapsed_s.max(1e-9),
+        percentile(&t.latencies_s, 0.50),
+        percentile(&t.latencies_s, 0.99),
+        percentile(&t.latencies_s, 0.999),
     );
-    if errors > 0 {
+    if t.failed > 0 {
         std::process::exit(1);
     }
 }

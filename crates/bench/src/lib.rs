@@ -1,9 +1,9 @@
 //! # cmr-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper (see
-//! DESIGN.md's experiment index) plus Criterion micro-benchmarks.
+//! DESIGN.md's experiment index), plus the serving tools in [`serving`].
 //!
-//! Every binary accepts:
+//! Every experiment binary accepts:
 //!
 //! * `--scale tiny|default|paper` — dataset/model scale (DESIGN.md),
 //! * `--epochs N` / `--seed N` — training overrides,

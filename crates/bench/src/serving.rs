@@ -1,7 +1,8 @@
 //! Shared plumbing for the serving binaries (`serve`, `loadgen`,
-//! `bench_serve`): synthetic galleries, a tiny blocking HTTP client over
-//! `cmr_serve::http`, embedding-blob startup, and exact percentile math
-//! over measured latencies.
+//! `bench_chaos`): synthetic galleries, a tiny blocking HTTP client over
+//! `cmr_serve::http`, embedding-blob startup, the closed-loop load runner
+//! that `loadgen` and `bench_chaos` share, and exact percentile math over
+//! measured latencies.
 
 use cmr_retrieval::{Embeddings, IvfIndex};
 use cmr_serve::http::{read_response, write_request, Limits, Response};
@@ -10,7 +11,7 @@ use rand::{Rng, SeedableRng};
 use std::io::{self, BufReader};
 use std::net::TcpStream;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A reproducible random L2-normalised gallery.
 pub fn synthetic_gallery(n: usize, dim: usize, seed: u64) -> Embeddings {
@@ -213,6 +214,118 @@ impl Client {
     }
 }
 
+/// How long a load client waits on one response before counting it failed.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Queries per client that [`Load::repeat_frac`] re-sends.
+const REPEAT_POOL: usize = 8;
+
+/// The closed-loop load [`closed_loop`] drives.
+#[derive(Clone, Copy, Debug)]
+pub struct Load {
+    /// Concurrent keep-alive clients, one thread each.
+    pub clients: usize,
+    /// Requests per client, sent back to back, alternating `im2rec` and
+    /// `rec2im`.
+    pub requests: usize,
+    /// Query dimension; must match the server's galleries.
+    pub dim: usize,
+    /// Hits asked for per query.
+    pub k: usize,
+    /// Client `i` draws its queries from `seed + i`.
+    pub seed: u64,
+    /// Fraction of queries re-sent from a small per-client pool, in
+    /// `[0, 1]`; repeats exercise the server's result cache.
+    pub repeat_frac: f64,
+}
+
+/// What a [`closed_loop`] run saw. Every request counts exactly once as
+/// ok, degraded or failed.
+#[derive(Clone, Debug, Default)]
+pub struct Tally {
+    /// A 200 answer with full coverage.
+    pub ok: u64,
+    /// A 200 answer carrying the router's `degraded` flag (some shards
+    /// missing).
+    pub degraded: u64,
+    /// No 200 answer: a refused connection, a transport or protocol error,
+    /// or any other status.
+    pub failed: u64,
+    /// Client-observed seconds of every 200 answer, ascending.
+    pub latencies_s: Vec<f64>,
+    /// Wall-clock seconds of the whole run.
+    pub elapsed_s: f64,
+}
+
+/// Drives `load` against the server at `addr` and waits for every client
+/// to finish. A client that fails an exchange reconnects before its next
+/// request, so one bad exchange costs one request, not the rest of the
+/// run.
+///
+/// # Panics
+/// Panics when `load.repeat_frac` is outside `[0, 1]`.
+pub fn closed_loop(addr: &str, load: &Load) -> Tally {
+    let start = Instant::now();
+    let mut total = std::thread::scope(|s| {
+        let clients: Vec<_> =
+            (0..load.clients).map(|id| s.spawn(move || run_client(addr, load, id))).collect();
+        clients.into_iter().fold(Tally::default(), |mut total, client| {
+            let t = client.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            total.ok += t.ok;
+            total.degraded += t.degraded;
+            total.failed += t.failed;
+            total.latencies_s.extend(t.latencies_s);
+            total
+        })
+    });
+    total.elapsed_s = start.elapsed().as_secs_f64();
+    total.latencies_s.sort_by(f64::total_cmp);
+    total
+}
+
+/// One client of [`closed_loop`]: `load.requests` exchanges over one
+/// keep-alive connection, replaced after each failed exchange.
+fn run_client(addr: &str, load: &Load, id: usize) -> Tally {
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(load.seed.wrapping_add(id as u64));
+    let pool: Vec<Vec<f32>> =
+        (0..REPEAT_POOL).map(|_| synthetic_query(load.dim, &mut rng)).collect();
+    let connect = || Client::connect(addr, CLIENT_TIMEOUT).ok();
+    let mut client = connect();
+    let mut tally = Tally::default();
+    for r in 0..load.requests {
+        let repeat = if rng.gen_bool(load.repeat_frac) {
+            pool.get(rng.gen_range(0..REPEAT_POOL)).cloned()
+        } else {
+            None
+        };
+        let query = repeat.unwrap_or_else(|| synthetic_query(load.dim, &mut rng));
+        let direction = if r % 2 == 0 { "im2rec" } else { "rec2im" };
+        let sent = Instant::now();
+        match client.as_mut().map(|c| c.search(direction, load.k, &query)) {
+            Some(Ok(resp)) if resp.status == 200 => {
+                tally.latencies_s.push(sent.elapsed().as_secs_f64());
+                if is_degraded(&resp) {
+                    tally.degraded += 1;
+                } else {
+                    tally.ok += 1;
+                }
+            }
+            _ => {
+                tally.failed += 1;
+                // The exchange may have left the connection mid-response.
+                client = connect();
+            }
+        }
+    }
+    tally
+}
+
+/// Whether a search answer carries the router's `degraded` flag.
+fn is_degraded(resp: &Response) -> bool {
+    const FLAG: &[u8] = b"\"degraded\":true";
+    resp.body.windows(FLAG.len()).any(|w| w == FLAG)
+}
+
 /// Exact quantile of an ascending-sorted latency sample (nearest-rank),
 /// 0.0 for an empty sample.
 // cmr-lint: allow(panic-path) rank is clamped to 1..=len after the empty check, so the index is in range
@@ -227,6 +340,57 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmr_serve::{
+        FaultPlan, FaultProxy, Router, RouterConfig, ServeConfig, Server, ShardFleet,
+    };
+
+    fn load(clients: usize, requests: usize) -> Load {
+        Load { clients, requests, dim: 8, k: 3, seed: 11, repeat_frac: 0.2 }
+    }
+
+    fn exact_server() -> Server {
+        let gallery = synthetic_gallery(40, 8, 1);
+        let engine = build_engine(gallery.clone(), gallery, 0, 1, 1);
+        Server::start(engine, ServeConfig::default(), "127.0.0.1:0").unwrap()
+    }
+
+    #[test]
+    fn closed_loop_counts_a_healthy_server_all_ok() {
+        let mut server = exact_server();
+        let t = closed_loop(&server.local_addr().to_string(), &load(3, 10));
+        server.shutdown();
+        assert_eq!((t.ok, t.degraded, t.failed), (30, 0, 0));
+        assert_eq!(t.latencies_s.len(), 30);
+        assert!(t.latencies_s.windows(2).all(|w| w[0] <= w[1]), "latencies come back sorted");
+    }
+
+    #[test]
+    fn closed_loop_counts_a_killed_shard_degraded_never_failed() {
+        let (recipes, images) = (synthetic_gallery(40, 8, 1), synthetic_gallery(40, 8, 2));
+        let mut fleet = ShardFleet::launch(&recipes, &images, 2, &ServeConfig::default()).unwrap();
+        fleet.kill(0);
+        let router = Router::new(fleet.specs(), 8, RouterConfig::default());
+        let front_cfg = ServeConfig { cache_capacity: 0, ..ServeConfig::default() };
+        let mut front = Server::start_sharded(router, front_cfg, "127.0.0.1:0").unwrap();
+        let t = closed_loop(&front.local_addr().to_string(), &load(2, 6));
+        front.shutdown();
+        fleet.shutdown();
+        assert_eq!((t.ok, t.degraded, t.failed), (0, 12, 0));
+    }
+
+    #[test]
+    fn closed_loop_counts_a_failed_exchange_and_reconnects() {
+        // The proxy relays one exchange per connection and then closes it,
+        // so the next request on the same keep-alive connection fails and
+        // only a fresh connection lets the one after it through.
+        let mut server = exact_server();
+        let mut proxy = FaultProxy::start(server.local_addr(), FaultPlan::healthy()).unwrap();
+        let t = closed_loop(&proxy.addr().to_string(), &load(1, 6));
+        proxy.shutdown();
+        server.shutdown();
+        assert_eq!((t.ok, t.degraded, t.failed), (3, 0, 3));
+        assert_eq!(t.latencies_s.len(), 3);
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {

@@ -38,7 +38,7 @@ pub use registry::{
     counter_add, gauge_set, observe, reset, series_push, snapshot, summary_line, write_artifact,
     Snapshot,
 };
-pub use span::{span, time_block, Span, TimeBlock};
+pub use span::{span, Span};
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};

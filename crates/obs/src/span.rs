@@ -1,4 +1,4 @@
-//! RAII timing spans and the bench `time_block` helper.
+//! RAII timing spans.
 
 use std::time::Instant;
 
@@ -31,41 +31,6 @@ impl Drop for Span {
     }
 }
 
-/// Result of a [`time_block`] measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct TimeBlock {
-    /// Median wall time over the measured repetitions, in seconds (the
-    /// upper middle value for an even repetition count).
-    pub median_s: f64,
-    /// Number of measured repetitions (at least 1).
-    pub reps: usize,
-    /// Number of unmeasured warmup repetitions that preceded them.
-    pub warmup: usize,
-}
-
-/// Times a closure with `warmup` unmeasured repetitions followed by `reps`
-/// measured ones and returns the median, which is far more stable than a
-/// single shot or a best-of under scheduler noise. Timing always happens
-/// (bench bins need numbers with `CMR_OBS` unset); the median is
-/// *additionally* recorded into the named histogram when telemetry is
-/// enabled. `reps` is clamped to at least 1.
-pub fn time_block<T>(name: &str, warmup: usize, reps: usize, mut f: impl FnMut() -> T) -> TimeBlock {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let reps = reps.max(1);
-    let mut times = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        times.push(start.elapsed().as_secs_f64());
-    }
-    times.sort_by(f64::total_cmp);
-    let median_s = times.get(times.len() / 2).copied().unwrap_or(0.0);
-    crate::observe(name, median_s);
-    TimeBlock { median_s, reps, warmup }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,27 +50,5 @@ mod tests {
         let h = snap.histogram("span.test_s").expect("histogram recorded");
         assert_eq!(h.count, 1);
         assert!(h.sum >= 0.0);
-    }
-
-    #[test]
-    fn time_block_counts_calls_and_works_disabled() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        crate::reset();
-        crate::set_enabled(false);
-        let mut calls = 0usize;
-        let tb = time_block("tb.test_s", 2, 5, || calls += 1);
-        assert_eq!(calls, 7, "warmup + measured reps all execute");
-        assert_eq!(tb.reps, 5);
-        assert_eq!(tb.warmup, 2);
-        assert!(tb.median_s >= 0.0);
-        // Disabled: nothing reached the registry.
-        assert!(crate::snapshot("tb.").histogram("tb.test_s").is_none());
-
-        crate::set_enabled(true);
-        let tb = time_block("tb.test_s", 0, 0, || ());
-        crate::set_enabled(false);
-        assert_eq!(tb.reps, 1, "reps clamps to at least one");
-        let snap = crate::snapshot("tb.");
-        assert_eq!(snap.histogram("tb.test_s").map(|h| h.count), Some(1));
     }
 }

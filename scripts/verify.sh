@@ -1,20 +1,19 @@
 #!/usr/bin/env bash
 # Repo verification gate: the tier-1 build/test gate, a type-check of the
 # benchmark (perfbench/) against its lockfile, the robustness suites
-# (fault injection + checkpoint round-trip properties) and the serving gate
-# (live server + loadgen smoke + archived benchmark).
+# (fault injection + checkpoint round-trip properties), the serving gate
+# (the shipped serve binary driven by loadgen), the ANN gate and the chaos
+# gate.
 #
 #   ./scripts/verify.sh
 #
 # Exits non-zero on the first failure. Prints per-gate wall-clock timings
 # and finishes with the one-line cmr-lint summary, one-line obs/serve/
-# chaos/ann snapshots and a `loc:` line (source lines per crate plus the
-# lint's allow count). Archives the lint artifacts (results/LINT_report.json,
-# results/CALLGRAPH.json, results/LOCKGRAPH.json,
-# results/TAINTGRAPH.json), the obs artifacts
-# (results/OBS_train.json,
-# results/OBS_retrieval.json), the serving artifacts
-# (results/BENCH_serve.json, results/OBS_serve.json) and the chaos
+# chaos/ann snapshots (the serve line is loadgen's summary) and a `loc:`
+# line (source lines per crate plus the lint's allow count). Archives the
+# lint artifacts (results/LINT_report.json, results/CALLGRAPH.json,
+# results/LOCKGRAPH.json, results/TAINTGRAPH.json), the obs artifacts
+# (results/OBS_train.json, results/OBS_retrieval.json), the chaos
 # artifacts (results/BENCH_chaos.json, results/OBS_chaos.json) and the ANN
 # artifacts (results/BENCH_ann.json archived at 1M, plus the
 # results/ann_gate/ smoke sweep).
@@ -167,16 +166,16 @@ check_obs_schema() {
 }
 gate "observability: artifact schema" check_obs_schema
 
-# Serving gate: boot the standalone server, smoke it with the load
-# generator (which exits non-zero on any failed request), then archive and
-# schema-check the serving benchmark (results/BENCH_serve.json,
-# results/OBS_serve.json).
+# Serving gate: boot the shipped serve binary and drive it with loadgen,
+# 16 keep-alive clients x 60 requests. loadgen exits non-zero on any failed
+# request; its summary line closes the run as the `serve:` snapshot.
+SERVE_SUMMARY=""
 check_serve() {
     rm -f results/serve.addr
     # Build before backgrounding: `cargo run -p cmr-bench` resolves
     # features per-package, so the first run after a workspace-wide build
     # can recompile the bin — that must not eat the addr-wait budget.
-    cargo build --release -q -p cmr-bench --bin serve --bin loadgen --bin bench_serve
+    cargo build --release -q -p cmr-bench --bin serve --bin loadgen
     cargo run --release -q -p cmr-bench --bin serve -- \
         --addr 127.0.0.1:0 --addr-file results/serve.addr \
         --gallery 500 --dim 32 --duration-s 20 &
@@ -195,44 +194,20 @@ check_serve() {
         fi
         sleep 0.1
     done
-    local addr rc=0
+    local addr out rc=0
     addr=$(cat results/serve.addr)
-    cargo run --release -q -p cmr-bench --bin loadgen -- \
-        --addr "$addr" --clients 8 --requests 50 --dim 32 || rc=$?
+    out=$(cargo run --release -q -p cmr-bench --bin loadgen -- \
+        --addr "$addr" --clients 16 --requests 60 --dim 32) || rc=$?
+    echo "$out"
     kill "$serve_pid" 2>/dev/null || true
     wait "$serve_pid" 2>/dev/null || true
     if [[ $rc -ne 0 ]]; then
-        echo "serve: loadgen smoke failed against $addr"
+        echo "serve: loadgen failed against $addr"
         return 1
     fi
-    cargo run --release -q -p cmr-bench --bin bench_serve -- \
-        --clients 16 --requests 60 --gallery 500 --dim 32 --out results
+    SERVE_SUMMARY=${out#loadgen: }
 }
-gate "serving: server + loadgen smoke + benchmark" check_serve
-
-check_serve_schema() {
-    local key
-    if [[ ! -f results/BENCH_serve.json ]]; then
-        echo "serve schema: missing artifact results/BENCH_serve.json"
-        return 1
-    fi
-    if ! grep -q '"schema_version": 1' results/BENCH_serve.json; then
-        echo "serve schema: wrong or missing schema_version in results/BENCH_serve.json"
-        return 1
-    fi
-    for key in '"throughput_rps"' '"latency_s"' '"p50"' '"p99"' '"p999"' \
-               '"batch_size"' '"cache"' '"max_batch"' '"max_wait_us"'; do
-        if ! grep -q "$key" results/BENCH_serve.json; then
-            echo "serve schema: $key missing from results/BENCH_serve.json"
-            return 1
-        fi
-    done
-    if ! grep -q '"errors": 0' results/BENCH_serve.json; then
-        echo "serve schema: benchmark recorded request errors"
-        return 1
-    fi
-}
-gate "serving: benchmark artifact schema" check_serve_schema
+gate "serving: serve binary + loadgen" check_serve
 
 # ANN gate: build + save a quantized index at the 100k scale, prove that a
 # single flipped byte makes the load fail with a typed error (never a
@@ -356,11 +331,8 @@ p50=$(grep -m1 '"p50"' results/OBS_retrieval.json | sed 's/.*: *//; s/,.*//')
 p99=$(grep -m1 '"p99"' results/OBS_retrieval.json | sed 's/.*: *//; s/,.*//')
 echo "obs: retrieval query latency p50 ${p50}s p99 ${p99}s (results/OBS_train.json, results/OBS_retrieval.json)"
 
-# One-line serving snapshot from the freshly written benchmark artifact.
-rps=$(grep -m1 '"throughput_rps"' results/BENCH_serve.json | sed 's/.*: *//; s/,.*//')
-sp50=$(grep -m1 '"p50"' results/BENCH_serve.json | sed 's/.*: *//; s/,.*//')
-sp999=$(grep -m1 '"p999"' results/BENCH_serve.json | sed 's/.*: *//; s/,.*//')
-echo "serve: ${rps} req/s, latency p50 ${sp50}s p999 ${sp999}s (results/BENCH_serve.json)"
+# One-line serving snapshot: loadgen's summary from the serving gate.
+echo "serve: ${SERVE_SUMMARY}"
 
 # One-line availability summary over every chaos mix: min availability and
 # the total degraded/failed counts across mixes.
