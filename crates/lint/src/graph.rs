@@ -44,7 +44,8 @@
 // cmr-lint: allow-file(panic-path) node ids are arena indices minted by build(); every dereference uses an id the arena issued
 
 use crate::parser::{CallSite, FnDef, ParsedFile, PanicKind, Receiver};
-use crate::rules::{is_test_path, Ledger};
+use crate::report::{quoted, JsonOut};
+use crate::rules::{Ledger, PathKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Schema version stamped into `CALLGRAPH.json`.
@@ -82,8 +83,8 @@ pub struct FileUnit<'a> {
     pub path: &'a str,
     /// Parser output for the file.
     pub parsed: &'a ParsedFile,
-    /// Library code (not under `tests/`, `examples/`, `src/bin/`, `main.rs`).
-    pub in_lib: bool,
+    /// Where the file sits (test, example, binary or library code).
+    pub kind: PathKind,
 }
 
 /// What made a function a barrier for a rule.
@@ -139,7 +140,7 @@ pub struct Node {
     pub is_pub: bool,
     /// Inside a test region or a test-path file.
     pub is_test: bool,
-    /// Library code (see [`FileUnit::in_lib`]).
+    /// Library code (see [`PathKind::lib`]).
     pub in_lib: bool,
     /// Declared to return `Result<…>`.
     pub returns_result: bool,
@@ -275,68 +276,59 @@ impl Graph {
 
     /// Renders the deterministic `CALLGRAPH.json` artifact.
     pub fn render_json(&self) -> String {
-        let stats = self.crate_stats();
-        let esc = crate::report::escape;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema_version\": {CALLGRAPH_SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"functions\": {},\n", self.nodes.len()));
-        let edge_count: usize = self.nodes.iter().map(|n| n.callees.len()).sum();
-        out.push_str(&format!("  \"edges\": {edge_count},\n"));
-        out.push_str("  \"crates\": {\n");
-        let n = stats.len();
-        for (i, (name, s)) in stats.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\"fns\": {}, \"pub_fns\": {}, \"panic_sources\": {{\"macro\": {}, \"assert\": {}, \"unwrap_expect\": {}, \"index\": {}}}, \"defused_sources\": {}, \"barrier_fns\": {}, \"panic_surface\": {}}}{}\n",
-                esc(name), s.fns, s.pub_fns, s.sources[0], s.sources[1], s.sources[2],
+        let mut w = JsonOut::new();
+        w.field("schema_version", CALLGRAPH_SCHEMA_VERSION);
+        w.field("functions", self.nodes.len());
+        w.field(
+            "edges",
+            self.nodes.iter().map(|n| n.callees.len()).sum::<usize>(),
+        );
+        w.block("crates", '{');
+        for (name, s) in &self.crate_stats() {
+            w.field(name, format_args!(
+                "{{\"fns\": {}, \"pub_fns\": {}, \"panic_sources\": {{\"macro\": {}, \"assert\": {}, \"unwrap_expect\": {}, \"index\": {}}}, \"defused_sources\": {}, \"barrier_fns\": {}, \"panic_surface\": {}}}",
+                s.fns, s.pub_fns, s.sources[0], s.sources[1], s.sources[2],
                 s.sources[3], s.defused, s.barriers, s.panic_surface,
-                if i + 1 < n { "," } else { "" }
             ));
         }
-        out.push_str("  },\n  \"nodes\": [\n");
-        let m = self.nodes.len();
+        w.end();
+        w.block("nodes", '[');
         for (i, node) in self.nodes.iter().enumerate() {
             let chain = match &self.panic[i] {
-                Some(_) => {
-                    format!(", \"panic_chain\": \"{}\"", esc(&self.chain(&self.panic, i, false)))
-                }
+                Some(_) => format!(
+                    ", \"panic_chain\": {}",
+                    quoted(&self.chain(&self.panic, i, false))
+                ),
                 None => String::new(),
             };
-            let barrier = match node.barrier {
-                Some(_) => ", \"barrier\": true",
-                None => "",
+            let barrier = if node.barrier.is_some() {
+                ", \"barrier\": true"
+            } else {
+                ""
             };
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"file\": \"{}\", \"line\": {}, \"pub\": {}, \"test\": {}, \"sources\": {}, \"defused\": {}{}{}}}{}\n",
-                esc(&node.id),
-                esc(&node.file),
+            w.item(format_args!(
+                "{{\"id\": {}, \"file\": {}, \"line\": {}, \"pub\": {}, \"test\": {}, \"sources\": {}, \"defused\": {}{barrier}{chain}}}",
+                quoted(&node.id),
+                quoted(&node.file),
                 node.line,
                 node.is_pub,
                 node.is_test,
                 node.live_sources.len(),
                 node.defused,
-                barrier,
-                chain,
-                if i + 1 < m { "," } else { "" }
             ));
         }
-        out.push_str("  ],\n  \"calls\": [\n");
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        for (i, node) in self.nodes.iter().enumerate() {
+        w.end();
+        w.block("calls", '[');
+        for node in &self.nodes {
             for &c in &node.callees {
-                edges.push((i, c));
+                w.item(format_args!(
+                    "[{}, {}]",
+                    quoted(&node.id),
+                    quoted(&self.nodes[c].id)
+                ));
             }
         }
-        let e = edges.len();
-        for (k, (a, b)) in edges.iter().enumerate() {
-            out.push_str(&format!(
-                "    [\"{}\", \"{}\"]{}\n",
-                esc(&self.nodes[*a].id),
-                esc(&self.nodes[*b].id),
-                if k + 1 < e { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        w.finish()
     }
 
     /// Per-crate aggregate metrics (deterministically ordered).
@@ -390,7 +382,7 @@ pub struct CrateStats {
 /// panic allows (site defuses, fn barriers) and marks the load-bearing ones.
 pub fn build(units: &[FileUnit], ledger: &Ledger) -> Graph {
     let mut fields: FieldMap = HashMap::new();
-    for u in units.iter().filter(|u| !is_test_path(u.path)) {
+    for u in units.iter().filter(|u| !u.kind.test) {
         let krate = crate_of(u.path);
         for st in &u.parsed.structs {
             let entry = fields.entry((krate.clone(), st.name.clone())).or_default();
@@ -465,8 +457,8 @@ pub fn build(units: &[FileUnit], ledger: &Ledger) -> Graph {
                 col: def.col,
                 krate: krate.clone(),
                 is_pub: def.is_pub,
-                is_test: def.is_test || !u.in_lib && is_test_path(u.path),
-                in_lib: u.in_lib,
+                is_test: def.is_test || u.kind.test,
+                in_lib: u.kind.lib(),
                 returns_result: def.returns_result,
                 barrier,
                 sources_by_kind: by_kind,
@@ -598,42 +590,33 @@ fn resolve_call(
             .cloned()
             .unwrap_or_default()
     };
+    // An untyped method call links to every workspace method of its name,
+    // unless the name collides with a ubiquitous std method.
+    let any_method = || {
+        if STD_METHOD_COLLISIONS.contains(&name) {
+            return Vec::new();
+        }
+        method_by_name.get(name).cloned().unwrap_or_default()
+    };
     match &call.receiver {
         Some(Receiver::SelfRecv) => {
-            if let Some(ty) = &def.self_ty {
-                let t = typed(ty);
-                if !t.is_empty() {
-                    return t;
-                }
+            let t = def.self_ty.as_deref().map(typed).unwrap_or_default();
+            if t.is_empty() {
+                any_method()
+            } else {
+                t
             }
-            if STD_METHOD_COLLISIONS.contains(&name) {
-                return Vec::new();
-            }
-            method_by_name.get(name).cloned().unwrap_or_default()
         }
-        Some(Receiver::Ident(v)) => {
-            if let Some(ty) = local_type(def, v, call.line) {
-                // A known receiver type resolves exactly (or externally).
-                return typed(&ty);
-            }
-            if STD_METHOD_COLLISIONS.contains(&name) {
-                return Vec::new();
-            }
-            method_by_name.get(name).cloned().unwrap_or_default()
-        }
-        Some(Receiver::Unknown) => {
-            if STD_METHOD_COLLISIONS.contains(&name) {
-                return Vec::new();
-            }
-            method_by_name.get(name).cloned().unwrap_or_default()
-        }
+        // A known receiver type resolves exactly (or externally).
+        Some(Receiver::Ident(v)) => match local_type(def, v, call.line) {
+            Some(ty) => typed(&ty),
+            None => any_method(),
+        },
+        Some(Receiver::Unknown) => any_method(),
         None => {
             if let Some(last) = call.qualifier.last() {
                 if last == "Self" {
-                    if let Some(ty) = &def.self_ty {
-                        return typed(ty);
-                    }
-                    return Vec::new();
+                    return def.self_ty.as_deref().map(typed).unwrap_or_default();
                 }
                 if last.chars().next().is_some_and(char::is_uppercase) {
                     return typed(last);
@@ -685,7 +668,7 @@ fn resolve_call(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::parser::parse;
+    use crate::parser::{parse, Code};
 
     /// Builds the graph with every file's allow directives in the ledger.
     fn graph_with(files: &[(&str, &str)], ledger: &mut Ledger) -> Graph {
@@ -693,11 +676,11 @@ mod tests {
         for ((path, _), toks) in files.iter().zip(&tokens) {
             ledger.add_file(path, toks, &mut Vec::new());
         }
-        let parsed: Vec<ParsedFile> = tokens.iter().map(|t| parse(t)).collect();
+        let parsed: Vec<ParsedFile> = tokens.into_iter().map(|t| parse(&Code::new(t))).collect();
         let units: Vec<FileUnit> = files
             .iter()
             .zip(parsed.iter())
-            .map(|((path, _), p)| FileUnit { path, parsed: p, in_lib: true })
+            .map(|((path, _), p)| FileUnit { path, parsed: p, kind: PathKind::of(path) })
             .collect();
         build(&units, ledger)
     }

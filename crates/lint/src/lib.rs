@@ -7,6 +7,14 @@
 //! transitive panic propagation ([`graph`]), and a repo-specific rule engine
 //! ([`rules`]).
 //!
+//! Each structural fact is decided once per file and shared: the
+//! [`parser::Code`] view holds the code tokens, every bracket's partner and
+//! the test-only spans that both the token rules and the parser read; one
+//! walk per fn body extracts that body's facts; [`rules::PathKind`]
+//! classifies each path once; and the four JSON artifacts go through one
+//! writer in [`report`] and the workspace's one escaper,
+//! `cmr_obs::json_escape`.
+//!
 //! The rules encode the conventions the reproduction's correctness rests on:
 //!
 //! * **op-coverage** — every autodiff operator must have a

@@ -35,7 +35,8 @@
 
 use crate::graph::{crate_of, local_type, BarrierFrom, FileUnit, Graph, Witness};
 use crate::parser::FnDef;
-use crate::rules::{is_test_path, Finding, Ledger};
+use crate::report::{quoted, JsonOut};
+use crate::rules::{Finding, Ledger};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Schema version stamped into `LOCKGRAPH.json`.
@@ -112,10 +113,6 @@ struct Span {
 
 const BLOCKING: &str = "blocking-under-lock";
 
-fn finding(file: &str, line: u32, col: u32, rule: &'static str, message: String) -> Finding {
-    Finding { file: file.to_string(), line, col, rule, message }
-}
-
 /// Runs the concurrency pass over the same `units` slice that built `g`;
 /// the ledger answers the three rules' allows.
 pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalysis {
@@ -123,13 +120,11 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
     let defs: Vec<&FnDef> = (0..n).map(|i| g.def(units, i)).collect();
     let mut findings: Vec<Finding> = Vec::new();
 
-    // ---- lock inventory ----
+    // ---- lock inventory: one map from (crate, owner, name) to its lock or
+    // condvar; the owner is the struct for a field and "" for a static ----
     let mut locks: Vec<LockDef> = Vec::new();
     let mut condvars: Vec<LockDef> = Vec::new();
-    let mut field_lock: HashMap<(String, String, String), usize> = HashMap::new();
-    let mut field_cv: HashMap<(String, String, String), usize> = HashMap::new();
-    let mut static_lock: HashMap<(String, String), usize> = HashMap::new();
-    let mut static_cv: HashMap<(String, String), usize> = HashMap::new();
+    let mut inventory: HashMap<(String, String, String), Res> = HashMap::new();
     let fields = &g.fields;
     let mut struct_home: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for (kr, ty) in fields.keys() {
@@ -137,71 +132,39 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
     }
     // Condvar → first Mutex/RwLock field of the same struct.
     let mut cv_pair: HashMap<usize, usize> = HashMap::new();
-
-    let lib_units = || units.iter().filter(|u| !is_test_path(u.path));
-    for u in lib_units() {
+    for u in units.iter().filter(|u| !u.kind.test) {
         let krate = crate_of(u.path);
-        for st in &u.parsed.structs {
-            for (fname, kind) in &st.lock_fields {
-                let key = (krate.clone(), st.name.clone(), fname.clone());
-                let def = LockDef {
-                    id: format!("{krate}::{}.{}", st.name, fname),
-                    kind: kind.clone(),
-                    krate: krate.clone(),
-                    file: u.path.to_string(),
-                    line: st.line,
+        let mut register = |owner: &str, name: &str, kind: &str, id: String, line: u32| {
+            let key = (krate.clone(), owner.to_string(), name.to_string());
+            *inventory.entry(key).or_insert_with(|| {
+                let (list, res): (&mut Vec<LockDef>, fn(usize) -> Res) = if kind == "Condvar" {
+                    (&mut condvars, Res::Cv)
+                } else {
+                    (&mut locks, Res::Lock)
                 };
-                if kind == "Condvar" {
-                    if !field_cv.contains_key(&key) {
-                        field_cv.insert(key, condvars.len());
-                        condvars.push(def);
-                    }
-                } else if !field_lock.contains_key(&key) {
-                    field_lock.insert(key, locks.len());
-                    locks.push(def);
+                let file = u.path.to_string();
+                list.push(LockDef { id, kind: kind.to_string(), krate: krate.clone(), file, line });
+                res(list.len() - 1)
+            })
+        };
+        for st in &u.parsed.structs {
+            let mut pair = None;
+            let mut cvs = Vec::new();
+            for (fname, kind) in &st.lock_fields {
+                let id = format!("{krate}::{}.{fname}", st.name);
+                match register(&st.name, fname, kind, id, st.line) {
+                    Res::Lock(l) => pair = pair.or(Some(l)),
+                    Res::Cv(c) => cvs.push(c),
+                }
+            }
+            for c in cvs {
+                if let Some(l) = pair {
+                    cv_pair.entry(c).or_insert(l);
                 }
             }
         }
         for sd in &u.parsed.statics {
-            let key = (krate.clone(), sd.name.clone());
-            let def = LockDef {
-                id: format!("{krate}::{}", sd.name),
-                kind: sd.kind.clone(),
-                krate: krate.clone(),
-                file: u.path.to_string(),
-                line: sd.line,
-            };
-            if sd.kind == "Condvar" {
-                if !static_cv.contains_key(&key) {
-                    static_cv.insert(key, condvars.len());
-                    condvars.push(def);
-                }
-            } else if !static_lock.contains_key(&key) {
-                static_lock.insert(key, locks.len());
-                locks.push(def);
-            }
-        }
-    }
-    for u in lib_units() {
-        let krate = crate_of(u.path);
-        for st in &u.parsed.structs {
-            let first_lock = st
-                .lock_fields
-                .iter()
-                .filter(|(_, k)| k != "Condvar")
-                .find_map(|(f, _)| {
-                    field_lock.get(&(krate.clone(), st.name.clone(), f.clone())).copied()
-                });
-            let Some(pair) = first_lock else { continue };
-            for (f, k) in &st.lock_fields {
-                if k == "Condvar" {
-                    if let Some(&cv) =
-                        field_cv.get(&(krate.clone(), st.name.clone(), f.clone()))
-                    {
-                        cv_pair.entry(cv).or_insert(pair);
-                    }
-                }
-            }
+            register("", &sd.name, &sd.kind, format!("{krate}::{}", sd.name), sd.line);
         }
     }
 
@@ -211,32 +174,23 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
             return None;
         }
         let parts: Vec<&str> = target.split('.').collect();
-        if parts.len() == 1 {
-            let key = (krate.to_string(), parts[0].to_string());
-            if let Some(&i) = static_lock.get(&key) {
-                return Some(Res::Lock(i));
+        if let [name] = parts[..] {
+            let key = (krate.to_string(), String::new(), name.to_string());
+            if let Some(&r) = inventory.get(&key) {
+                return Some(r);
             }
-            if let Some(&i) = static_cv.get(&key) {
-                return Some(Res::Cv(i));
-            }
-            // Unique-across-workspace fallback for re-exported statics.
-            let hits: Vec<usize> = static_lock
-                .iter()
-                .filter(|((_, s), _)| s == parts[0])
-                .map(|(_, &v)| v)
-                .collect();
-            if hits.len() == 1 {
-                return Some(Res::Lock(hits[0]));
-            }
-            let hits: Vec<usize> = static_cv
-                .iter()
-                .filter(|((_, s), _)| s == parts[0])
-                .map(|(_, &v)| v)
-                .collect();
-            if hits.len() == 1 {
-                return Some(Res::Cv(hits[0]));
-            }
-            return None;
+            // Unique-across-workspace fallback for re-exported statics: a
+            // unique lock first, else a unique condvar.
+            let unique = |lock: bool| {
+                let mut hits = inventory.iter().filter(|((_, owner, s), r)| {
+                    owner.is_empty() && s == name && matches!(r, Res::Lock(_)) == lock
+                });
+                match (hits.next(), hits.next()) {
+                    (Some((_, &r)), None) => Some(r),
+                    _ => None,
+                }
+            };
+            return unique(true).or_else(|| unique(false));
         }
         let mut ty = if parts[0] == "self" {
             def.self_ty.clone()?
@@ -252,14 +206,7 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
                 struct_home.get(ty.as_str())?.iter().next()?.to_string()
             };
             if w == parts.len() - 1 {
-                let key = (home, ty, (*part).to_string());
-                if let Some(&i) = field_lock.get(&key) {
-                    return Some(Res::Lock(i));
-                }
-                if let Some(&i) = field_cv.get(&key) {
-                    return Some(Res::Cv(i));
-                }
-                return None;
+                return inventory.get(&(home, ty, (*part).to_string())).copied();
             }
             ty = fields.get(&(home.clone(), ty))?.get(*part)?.clone();
             kr = home;
@@ -427,6 +374,11 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
     let mut edge_map: BTreeMap<(usize, usize), LockEdge> = BTreeMap::new();
     let mut barrier_suppressed: Vec<bool> = vec![false; n];
     let in_span = |s: &Span, pos: (u32, u32)| s.start < pos && pos <= s.end;
+    // The call target with the shortest witness chain (lowest index on ties).
+    let nearest = |wit: &[Option<Witness>], targets: &[usize]| {
+        let reached = targets.iter().filter_map(|&t| wit[t].as_ref().map(|w| (w.dist, t)));
+        reached.min().map(|(_, t)| t)
+    };
     for i in 0..n {
         if g.nodes[i].is_test {
             continue;
@@ -471,12 +423,7 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
                 }
                 let mut hit_lock = false;
                 for (l, taint) in acq.iter().enumerate() {
-                    let best = call
-                        .targets
-                        .iter()
-                        .filter(|&&t| taint[t].is_some())
-                        .min_by_key(|&&t| (taint[t].as_ref().map_or(u32::MAX, |x| x.dist), t));
-                    if let Some(&t) = best {
+                    if let Some(t) = nearest(taint, &call.targets) {
                         let w = g.chain(taint, t, false);
                         add_edge(s.lock, l, pos.0, pos.1, w.clone());
                         if !hit_lock {
@@ -493,12 +440,7 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
                     }
                 }
                 if !hit_lock {
-                    let best = call
-                        .targets
-                        .iter()
-                        .filter(|&&t| blk[t].is_some())
-                        .min_by_key(|&&t| (blk[t].as_ref().map_or(u32::MAX, |x| x.dist), t));
-                    if let Some(&t) = best {
+                    if let Some(t) = nearest(&blk, &call.targets) {
                         block_findings.push((
                             pos.0,
                             pos.1,
@@ -554,7 +496,7 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
             continue;
         }
         for (line, col, msg) in block_findings {
-            findings.push(finding(&file, line, col, BLOCKING, msg));
+            findings.push(Finding::new(&file, line, col, BLOCKING, msg));
         }
     }
 
@@ -579,7 +521,7 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
             };
             match cv.method.as_str() {
                 "wait" | "wait_timeout" if !cv.in_loop => {
-                    findings.push(finding(
+                    findings.push(Finding::new(
                         &g.nodes[i].file,
                         cv.line,
                         cv.col,
@@ -596,7 +538,7 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
                         .iter()
                         .any(|s| s.lock == pair && in_span(s, (cv.line, cv.col)));
                     if !held {
-                        findings.push(finding(
+                        findings.push(Finding::new(
                             &g.nodes[i].file,
                             cv.line,
                             cv.col,
@@ -634,7 +576,7 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> LockAnalys
             .iter()
             .map(|e| format!("[{} → {}] {}", locks[e.from].id, locks[e.to].id, e.witness))
             .collect();
-        findings.push(finding(
+        findings.push(Finding::new(
             &anchor.file,
             anchor.line,
             anchor.col,
@@ -775,14 +717,13 @@ fn find_cycles(n_locks: usize, edges: &[LockEdge]) -> Vec<Vec<usize>> {
 impl LockAnalysis {
     /// Renders the deterministic `LOCKGRAPH.json` artifact.
     pub fn render_json(&self) -> String {
-        let esc = crate::report::escape;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema_version\": {LOCKGRAPH_SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"locks\": {},\n", self.locks.len()));
-        out.push_str(&format!("  \"condvars\": {},\n", self.condvars.len()));
-        out.push_str(&format!("  \"edges\": {},\n", self.edges.len()));
-        out.push_str(&format!("  \"cycles\": {},\n", self.cycles.len()));
-        out.push_str(&format!("  \"max_held_depth\": {},\n", self.max_held_depth));
+        let mut w = JsonOut::new();
+        w.field("schema_version", LOCKGRAPH_SCHEMA_VERSION);
+        w.field("locks", self.locks.len());
+        w.field("condvars", self.condvars.len());
+        w.field("edges", self.edges.len());
+        w.field("cycles", self.cycles.len());
+        w.field("max_held_depth", self.max_held_depth);
         let mut per_crate: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
         for l in &self.locks {
             per_crate.entry(&l.krate).or_default().0 += 1;
@@ -790,49 +731,39 @@ impl LockAnalysis {
         for c in &self.condvars {
             per_crate.entry(&c.krate).or_default().1 += 1;
         }
-        out.push_str("  \"crates\": {\n");
-        let nc = per_crate.len();
-        for (i, (kr, (nl, ncv))) in per_crate.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\"locks\": {nl}, \"condvars\": {ncv}}}{}\n",
-                esc(kr),
-                if i + 1 < nc { "," } else { "" }
-            ));
+        w.block("crates", '{');
+        for (kr, (nl, ncv)) in &per_crate {
+            w.field(kr, format_args!("{{\"locks\": {nl}, \"condvars\": {ncv}}}"));
         }
-        out.push_str("  },\n  \"inventory\": [\n");
+        w.end();
+        w.block("inventory", '[');
         let mut inv: Vec<&LockDef> = self.locks.iter().chain(&self.condvars).collect();
         inv.sort_by(|a, b| a.id.cmp(&b.id));
-        let ni = inv.len();
-        for (i, l) in inv.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"id\": \"{}\", \"kind\": \"{}\", \"file\": \"{}\", \"line\": {}}}{}\n",
-                esc(&l.id),
-                esc(&l.kind),
-                esc(&l.file),
+        for l in inv {
+            w.item(format_args!(
+                "{{\"id\": {}, \"kind\": {}, \"file\": {}, \"line\": {}}}",
+                quoted(&l.id),
+                quoted(&l.kind),
+                quoted(&l.file),
                 l.line,
-                if i + 1 < ni { "," } else { "" }
             ));
         }
-        out.push_str("  ],\n  \"order_edges\": [\n");
+        w.end();
+        w.block("order_edges", '[');
         let mut es: Vec<&LockEdge> = self.edges.iter().collect();
         es.sort_by(|a, b| {
             (&self.locks[a.from].id, &self.locks[a.to].id)
                 .cmp(&(&self.locks[b.from].id, &self.locks[b.to].id))
         });
-        let ne = es.len();
-        for (i, e) in es.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"site\": \"{}:{}:{}\", \"witness\": \"{}\"}}{}\n",
-                esc(&self.locks[e.from].id),
-                esc(&self.locks[e.to].id),
-                esc(&e.file),
-                e.line,
-                e.col,
-                esc(&e.witness),
-                if i + 1 < ne { "," } else { "" }
+        for e in es {
+            w.item(format_args!(
+                "{{\"from\": {}, \"to\": {}, \"site\": {}, \"witness\": {}}}",
+                quoted(&self.locks[e.from].id),
+                quoted(&self.locks[e.to].id),
+                quoted(&format!("{}:{}:{}", e.file, e.line, e.col)),
+                quoted(&e.witness),
             ));
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.finish()
     }
 }

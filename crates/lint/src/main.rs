@@ -164,27 +164,13 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        let mut value = |what: &str| it.next().ok_or_else(|| format!("{arg} takes {what}"));
         match arg.as_str() {
             "--workspace" => args.workspace = true,
-            "--root" => {
-                args.root = PathBuf::from(
-                    it.next().ok_or_else(|| "--root takes a directory".to_string())?,
-                );
-            }
-            "--json" => {
-                args.json = Some(PathBuf::from(
-                    it.next().ok_or_else(|| "--json takes a file path".to_string())?,
-                ));
-            }
-            "--graph" => {
-                args.graph = Some(PathBuf::from(
-                    it.next().ok_or_else(|| "--graph takes a file path".to_string())?,
-                ));
-            }
-            "--explain" => {
-                args.explain =
-                    Some(it.next().ok_or_else(|| "--explain takes a rule id".to_string())?);
-            }
+            "--root" => args.root = PathBuf::from(value("a directory")?),
+            "--json" => args.json = Some(PathBuf::from(value("a file path")?)),
+            "--graph" => args.graph = Some(PathBuf::from(value("a file path")?)),
+            "--explain" => args.explain = Some(value("a rule id")?),
             "--help" | "-h" => return Err(usage()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag {other:?}\n\n{}", usage()));

@@ -3,18 +3,22 @@
 //! This is deliberately **not** a full Rust parser: it recovers exactly the
 //! structure the interprocedural rules need and skips everything else.
 //!
+//! * **[`Code`]** — one file's code tokens with the two facts every pass
+//!   shares, decided once: each bracket's partner (so "where does this
+//!   group end" is a table lookup) and the test-only spans (`#[test]` items
+//!   and items whose `#[cfg(…)]` cannot hold without `test`, see
+//!   [`attr_is_test`]). The token rules read the same view.
 //! * **Items** — `mod` nesting, `impl`/`trait` blocks (self-type tracked),
 //!   `fn` signatures (visibility, generics, params, `Result` returns),
 //!   `struct` field types (so `self.field as u32` casts can be classified).
-//! * **Bodies** — a flat fact extraction per function: call sites (with
-//!   qualifier path and receiver), slice-index expressions, panic sites
-//!   (`panic!`-family macros, `assert!`-family macros, `.unwrap()`,
-//!   `.expect()`), `as` casts with a best-effort source type, typed `let`
-//!   bindings, and statements that discard a call's return value
-//!   (`let _ = f(x);` or a bare `f(x);`).
-//!
-//! Test regions (`#[test]` fns, `#[cfg(test)]` mods/impls) are tracked so
-//! downstream rules can exempt them, mirroring the token-rule engine.
+//! * **Bodies** — one walk per function body records the flat facts: call
+//!   sites (with qualifier path, receiver and argument idents), slice-index
+//!   expressions, panic sites (`panic!`-family macros, `assert!`-family
+//!   macros, `.unwrap()`, `.expect()`), `as` casts with a best-effort source
+//!   type, typed locals, statements that discard a call's return value
+//!   (`let _ = f(x);` or a bare `f(x);`), comparisons, the concurrency facts
+//!   and the return spans. Nested `fn` items are parsed as their own
+//!   definitions where the walk meets them and kept out of the outer facts.
 //!
 //! The output feeds [`crate::graph`], which resolves calls across the
 //! workspace into a call graph and runs the `panic-path`, `lossy-cast` and
@@ -23,6 +27,7 @@
 // cmr-lint: allow-file(panic-path) cursor and arena indices are bounded by construction; the parser owns every index it dereferences
 
 use crate::lexer::{Token, TokenKind};
+use std::collections::HashSet;
 
 /// Everything the parser recovered from one source file.
 #[derive(Debug, Default)]
@@ -382,38 +387,222 @@ const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented", "unreachable"]
 /// so not panic hazards for the production profile).
 const ASSERT_MACROS: &[&str] = &["assert", "assert_eq", "assert_ne"];
 
-/// Reduces a type token sequence to its salient tail segment:
-/// `&mut cca::Matrix<f64>` → `Matrix`, `Vec<f32>` → `Vec`, `f64` → `f64`.
-/// Returns `None` for slices/tuples/fn-pointers and other shapes the rules
-/// don't classify.
-pub fn type_tail(toks: &[&Token]) -> Option<String> {
-    let mut i = 0usize;
-    // Strip leading refs, mutability and lifetimes.
-    while i < toks.len() {
-        let t = toks[i];
-        let skip = t.is_punct("&")
-            || t.kind == TokenKind::Lifetime
-            || t.is_ident("mut")
-            || t.is_ident("dyn");
-        if skip {
-            i += 1;
-        } else {
-            break;
+/// A [`Code`] position that is not a matched bracket.
+const UNPAIRED: usize = usize::MAX;
+
+/// One lexed file as every pass sees it: the non-comment tokens, each
+/// bracket's partner and the test-only spans, all computed once. Positions
+/// index the code tokens.
+pub struct Code {
+    /// Every token of the file, comments included.
+    toks: Vec<Token>,
+    /// `toks` indices of the non-comment tokens.
+    idx: Vec<usize>,
+    /// Per position: the partner of a matched `(`/`[`/`{` or its closer.
+    pair: Vec<usize>,
+    /// Inclusive position ranges of test-only items, in source order.
+    tests: Vec<(usize, usize)>,
+}
+
+impl Code {
+    /// Builds the code view of one lexed file.
+    pub fn new(toks: Vec<Token>) -> Self {
+        let idx: Vec<usize> = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
+        let mut pair = vec![UNPAIRED; idx.len()];
+        let mut open = Vec::new();
+        for (p, &i) in idx.iter().enumerate() {
+            if toks[i].kind != TokenKind::Punct {
+                continue;
+            }
+            match toks[i].text.as_str() {
+                "(" | "[" | "{" => open.push(p),
+                ")" | "]" | "}" => {
+                    if let Some(o) = open.pop() {
+                        pair[o] = p;
+                        pair[p] = o;
+                    }
+                }
+                _ => {}
+            }
         }
+        let mut code = Code {
+            toks,
+            idx,
+            pair,
+            tests: Vec::new(),
+        };
+        code.tests = code.test_spans();
+        code
+    }
+
+    /// The items an outer test attribute ([`attr_is_test`]) marks: from the
+    /// attribute through the item's body closer or its `;`.
+    fn test_spans(&self) -> Vec<(usize, usize)> {
+        let mut spans = Vec::new();
+        let mut p = 0;
+        while p < self.len() {
+            let t = self.tok(p);
+            if t.kind == (TokenKind::Attr { inner: false }) && attr_is_test(&t.text) {
+                let q = self.seek(p + 1, self.len(), false, |u| {
+                    u.is_punct("{") || u.is_punct(";")
+                });
+                if q < self.len() && !self.is_close(q) {
+                    let last = if self.tok(q).is_punct(";") {
+                        q
+                    } else {
+                        self.close(q)
+                    };
+                    spans.push((p, last.min(self.len() - 1)));
+                    p = last;
+                }
+            }
+            p += 1;
+        }
+        spans
+    }
+
+    /// Number of code tokens.
+    pub(crate) fn len(&self) -> usize {
+        self.idx.len()
+    }
+
+    /// The code token at `p` (callers keep `p` below [`Code::len`]).
+    pub(crate) fn tok(&self, p: usize) -> &Token {
+        &self.toks[self.idx[p]]
+    }
+
+    /// The code token at `p`, if any.
+    pub(crate) fn get(&self, p: usize) -> Option<&Token> {
+        self.idx.get(p).map(|&i| &self.toks[i])
+    }
+
+    fn pos(&self, p: usize) -> (u32, u32) {
+        let t = self.tok(p);
+        (t.line, t.col)
+    }
+
+    /// Is position `p` a `(`, `[` or `{`?
+    pub(crate) fn is_open(&self, p: usize) -> bool {
+        let t = self.tok(p);
+        t.kind == TokenKind::Punct && matches!(t.text.as_str(), "(" | "[" | "{")
+    }
+
+    fn is_close(&self, p: usize) -> bool {
+        let t = self.tok(p);
+        t.kind == TokenKind::Punct && matches!(t.text.as_str(), ")" | "]" | "}")
+    }
+
+    /// The closer of the group opening at `p`; [`Code::len`] when unmatched.
+    pub(crate) fn close(&self, p: usize) -> usize {
+        match self.pair[p] {
+            q if q != UNPAIRED && q > p => q,
+            _ => self.len(),
+        }
+    }
+
+    /// Is position `p` inside a test-only item?
+    pub(crate) fn in_test(&self, p: usize) -> bool {
+        let k = self.tests.partition_point(|&(s, _)| s <= p);
+        k > 0 && self.tests[k - 1].1 >= p
+    }
+
+    /// The first position in `from..end` whose token `stop` accepts, or the
+    /// closer of the group enclosing `from`, whichever comes first; `end`
+    /// when neither does. Bracket groups are hopped whole (`stop` sees their
+    /// opener), and with `angles` so is the inside of `<…>` generic
+    /// arguments (`>>` closes two levels).
+    fn seek(
+        &self,
+        from: usize,
+        end: usize,
+        angles: bool,
+        mut stop: impl FnMut(&Token) -> bool,
+    ) -> usize {
+        let mut angle = 0isize;
+        let mut p = from;
+        while p < end {
+            let t = self.tok(p);
+            if angle <= 0 && stop(t) || self.is_close(p) {
+                return p;
+            }
+            if angles {
+                angle += angle_step(t);
+            }
+            p = if self.is_open(p) {
+                self.close(p) + 1
+            } else {
+                p + 1
+            };
+        }
+        end
+    }
+
+    /// The `sep`-separated top-level pieces of `from..end`, empty ones
+    /// included (see [`Code::seek`] for `angles`).
+    fn split(&self, from: usize, end: usize, angles: bool, sep: &str) -> Vec<(usize, usize)> {
+        let mut pieces = Vec::new();
+        let mut s = from;
+        loop {
+            let e = self.seek(s, end, angles, |t| t.is_punct(sep));
+            pieces.push((s, e));
+            if !self.get(e).is_some_and(|t| e < end && t.is_punct(sep)) {
+                return pieces;
+            }
+            s = e + 1;
+        }
+    }
+
+    /// The position just past the `<…>` generic list opening at `p`.
+    fn angle_end(&self, p: usize) -> usize {
+        let mut depth = 0isize;
+        let mut q = p;
+        while q < self.len() {
+            depth += angle_step(self.tok(q));
+            q += 1;
+            if depth <= 0 {
+                break;
+            }
+        }
+        q
+    }
+}
+
+/// How a token moves `<…>` generic depth (`<<` and `>>` count twice).
+fn angle_step(t: &Token) -> isize {
+    match (&t.kind, t.text.as_str()) {
+        (TokenKind::Punct, "<") => 1,
+        (TokenKind::Punct, "<<") => 2,
+        (TokenKind::Punct, ">") => -1,
+        (TokenKind::Punct, ">>") => -2,
+        _ => 0,
+    }
+}
+
+/// Reduces the type starting at code position `from` to its salient tail
+/// segment: `&mut cca::Matrix<f64>` → `Matrix`, `Vec<f32>` → `Vec`, `f64` →
+/// `f64`. Only a prefix is read, so `end` may lie past the type. Returns
+/// `None` for slices/tuples/fn-pointers and other shapes the rules don't
+/// classify.
+pub fn type_tail(c: &Code, from: usize, end: usize) -> Option<String> {
+    let tok = |p: usize| (p < end).then(|| c.tok(p));
+    let mut i = from;
+    // Strip leading refs, mutability and lifetimes.
+    while tok(i).is_some_and(|t| {
+        t.is_punct("&") || t.kind == TokenKind::Lifetime || t.is_ident("mut") || t.is_ident("dyn")
+    }) {
+        i += 1;
     }
     // Peel transparent pointer wrappers: `Arc<Inner>` types as `Inner` —
     // the type you reach *through* the value, which is what receiver and
     // lock-field resolution care about.
-    while i + 1 < toks.len()
-        && toks[i].kind == TokenKind::Ident
-        && matches!(toks[i].text.as_str(), "Arc" | "Rc" | "Box")
-        && toks[i + 1].is_punct("<")
+    while tok(i).is_some_and(|t| {
+        t.kind == TokenKind::Ident && matches!(t.text.as_str(), "Arc" | "Rc" | "Box")
+    }) && tok(i + 1).is_some_and(|t| t.is_punct("<"))
     {
         i += 2;
     }
     let mut last: Option<String> = None;
-    while i < toks.len() {
-        let t = toks[i];
+    while let Some(t) = tok(i) {
         match t.kind {
             TokenKind::Ident => last = Some(t.text.clone()),
             TokenKind::Punct if t.text == "::" => {}
@@ -425,28 +614,42 @@ pub fn type_tail(toks: &[&Token]) -> Option<String> {
     last
 }
 
-/// A parse cursor over the full token stream of one file (comments
-/// included in the slice; the cursor transparently skips them).
+/// The idents of `from..end` (keywords dropped) and whether the range is
+/// bounded by construction: it holds a modulo or a mask with an integer
+/// literal (`& 0xff`).
+fn operand(c: &Code, from: usize, end: usize) -> (Vec<String>, bool) {
+    let mut idents = Vec::new();
+    let mut bounded = false;
+    for q in from..end {
+        let u = c.tok(q);
+        match u.kind {
+            TokenKind::Ident if !EXPR_KEYWORDS.contains(&u.text.as_str()) => {
+                idents.push(u.text.clone());
+            }
+            TokenKind::Punct if u.text == "%" => bounded = true,
+            TokenKind::Punct if u.text == "&" => {
+                bounded |= q + 1 < end && c.tok(q + 1).kind == TokenKind::Int;
+            }
+            _ => {}
+        }
+    }
+    (idents, bounded)
+}
+
+/// A parse cursor over a [`Code`] view.
 struct Cursor<'a> {
-    toks: &'a [Token],
-    /// Indices of non-comment tokens.
-    code: Vec<usize>,
-    /// Position within `code`.
+    c: &'a Code,
+    /// The current code position.
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(toks: &'a [Token]) -> Self {
-        let code = (0..toks.len()).filter(|&i| !toks[i].is_comment()).collect();
-        Self { toks, code, pos: 0 }
-    }
-
     fn peek(&self, ahead: usize) -> Option<&'a Token> {
-        self.code.get(self.pos + ahead).map(|&i| &self.toks[i])
+        self.c.get(self.pos + ahead)
     }
 
     fn bump(&mut self) -> Option<&'a Token> {
-        let t = self.code.get(self.pos).map(|&i| &self.toks[i]);
+        let t = self.c.get(self.pos);
         if t.is_some() {
             self.pos += 1;
         }
@@ -454,66 +657,34 @@ impl<'a> Cursor<'a> {
     }
 
     /// Skips a balanced `<…>` generic-argument list (cursor on `<`).
-    /// `>>` closes two levels.
     fn skip_generics(&mut self) {
-        let mut depth = 0isize;
-        while let Some(t) = self.bump() {
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "<" | "<<" => depth += if t.text == "<<" { 2 } else { 1 },
-                    ">" => depth -= 1,
-                    ">>" => depth -= 2,
-                    "->" => {}
-                    _ => {}
-                }
-            }
-            if depth <= 0 {
-                return;
-            }
-        }
+        self.pos = self.c.angle_end(self.pos);
     }
 
-    /// Skips tokens until `;` at zero bracket depth (for `use`, `const`,
-    /// `static`, `type` items). Consumes the `;`.
+    /// Moves to the first top-level token `stop` accepts (generic arguments
+    /// hopped), or to the closer that ends the enclosing group.
+    fn seek(&mut self, stop: impl FnMut(&Token) -> bool) {
+        self.pos = self.c.seek(self.pos, self.c.len(), true, stop);
+    }
+
+    /// Skips past the next top-level `;` (for `use`, `const`, `static`,
+    /// `type` items).
     fn skip_to_semi(&mut self) {
-        let mut depth = 0isize;
-        while let Some(t) = self.bump() {
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth == 0 => return,
-                    _ => {}
-                }
-            }
+        self.pos = self
+            .c
+            .seek(self.pos, self.c.len(), false, |t| t.is_punct(";"));
+        if self.peek(0).is_some_and(|t| t.is_punct(";")) {
+            self.pos += 1;
         }
     }
 
-    /// Cursor on `(`/`[`/`{`: skips the balanced group, consuming the
-    /// closing delimiter. Returns the `code` range of the *interior*.
+    /// Cursor on `(`/`[`/`{`: moves past the group and returns the code
+    /// range of its interior.
     fn skip_balanced(&mut self) -> (usize, usize) {
-        let mut depth = 0isize;
-        let mut start = self.pos;
-        while let Some(t) = self.bump() {
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" | "{" => {
-                        depth += 1;
-                        if depth == 1 {
-                            start = self.pos;
-                        }
-                    }
-                    ")" | "]" | "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            return (start, self.pos - 1);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        (start, self.pos)
+        let close = self.c.close(self.pos);
+        let interior = (self.pos + 1, close);
+        self.pos = (close + 1).min(self.c.len());
+        interior
     }
 }
 
@@ -523,265 +694,193 @@ struct Scope {
     module: Option<String>,
     /// Self type for `impl`/`trait` scopes.
     self_ty: Option<String>,
-    /// Everything inside is test-only.
-    test: bool,
 }
 
-/// Parses one file. The lexer token stream must come from the same source.
-pub fn parse(tokens: &[Token]) -> ParsedFile {
+/// Parses one file from its code view.
+pub fn parse(code: &Code) -> ParsedFile {
     let mut out = ParsedFile::default();
-    let mut cx = Cursor::new(tokens);
+    let mut cx = Cursor { c: code, pos: 0 };
     let mut scopes: Vec<Scope> = Vec::new();
 
     // Pending item modifiers (reset whenever an item or brace is consumed).
-    let mut pend_test = false;
     let mut pend_pub = false;
     let mut pend_start: Option<u32> = None;
 
     while let Some(t) = cx.peek(0) {
-        let inherited_test = scopes.iter().any(|s| s.test);
-        match &t.kind {
-            TokenKind::Attr { inner: false } => {
-                if attr_is_test(&t.text) {
-                    pend_test = true;
+        let modifier = matches!(
+            t.text.as_str(),
+            "pub" | "unsafe" | "async" | "default" | "extern"
+        ) || t.text == "const" && cx.peek(1).is_some_and(|n| n.is_ident("fn"));
+        match t.kind {
+            TokenKind::Attr { inner } => {
+                if !inner {
+                    pend_start.get_or_insert(t.line);
                 }
+                cx.bump();
+                continue;
+            }
+            TokenKind::Ident if modifier => {
                 pend_start.get_or_insert(t.line);
                 cx.bump();
+                if t.text != "pub" {
+                    // `extern "C"` string.
+                    if cx.peek(0).is_some_and(|n| n.kind == TokenKind::Str) {
+                        cx.bump();
+                    }
+                } else if cx.peek(0).is_some_and(|n| n.is_punct("(")) {
+                    cx.skip_balanced();
+                } else {
+                    pend_pub = true;
+                }
+                continue;
             }
-            TokenKind::Attr { inner: true } => {
+            _ => {}
+        }
+        let peek_is = |cx: &Cursor, p: &str| cx.peek(0).is_some_and(|n| n.is_punct(p));
+        match (&t.kind, t.text.as_str()) {
+            (TokenKind::Ident, "mod") => {
                 cx.bump();
-            }
-            TokenKind::Ident => {
-                let text = t.text.clone();
-                match text.as_str() {
-                    "pub" => {
-                        pend_start.get_or_insert(t.line);
-                        cx.bump();
-                        if cx.peek(0).is_some_and(|n| n.is_punct("(")) {
-                            cx.skip_balanced();
-                        } else {
-                            pend_pub = true;
-                        }
-                    }
-                    "unsafe" | "async" | "default" | "extern" => {
-                        pend_start.get_or_insert(t.line);
-                        cx.bump();
-                        // `extern "C"` string.
-                        if cx.peek(0).is_some_and(|n| n.kind == TokenKind::Str) {
-                            cx.bump();
-                        }
-                    }
-                    "const" if cx.peek(1).is_some_and(|n| n.is_ident("fn")) => {
-                        pend_start.get_or_insert(t.line);
-                        cx.bump();
-                    }
-                    "mod" => {
-                        cx.bump();
-                        let name =
-                            cx.bump().map(|n| n.text.clone()).unwrap_or_default();
-                        match cx.peek(0) {
-                            Some(n) if n.is_punct("{") => {
-                                cx.bump();
-                                scopes.push(Scope {
-                                    module: Some(name),
-                                    self_ty: None,
-                                    test: pend_test || inherited_test,
-                                });
-                            }
-                            _ => cx.skip_to_semi(),
-                        }
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    "impl" => {
-                        cx.bump();
-                        if cx.peek(0).is_some_and(|n| n.is_punct("<")) {
-                            cx.skip_generics();
-                        }
-                        let first = parse_type_path(&mut cx);
-                        let self_ty = if cx.peek(0).is_some_and(|n| n.is_ident("for")) {
-                            cx.bump();
-                            parse_type_path(&mut cx)
-                        } else {
-                            first
-                        };
-                        // Skip `where …` up to the opening brace.
-                        while let Some(n) = cx.peek(0) {
-                            if n.is_punct("{") {
-                                break;
-                            }
-                            if n.is_punct("<") {
-                                cx.skip_generics();
-                            } else {
-                                cx.bump();
-                            }
-                        }
-                        if cx.peek(0).is_some_and(|n| n.is_punct("{")) {
-                            cx.bump();
-                            scopes.push(Scope {
-                                module: None,
-                                self_ty,
-                                test: pend_test || inherited_test,
-                            });
-                        }
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    "trait" => {
-                        cx.bump();
-                        let name = cx.bump().map(|n| n.text.clone());
-                        while let Some(n) = cx.peek(0) {
-                            if n.is_punct("{") || n.is_punct(";") {
-                                break;
-                            }
-                            if n.is_punct("<") {
-                                cx.skip_generics();
-                            } else {
-                                cx.bump();
-                            }
-                        }
-                        if cx.peek(0).is_some_and(|n| n.is_punct("{")) {
-                            cx.bump();
-                            scopes.push(Scope {
-                                module: None,
-                                self_ty: name,
-                                test: pend_test || inherited_test,
-                            });
-                        } else {
-                            cx.bump();
-                        }
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    "fn" => {
-                        let module: Vec<String> = scopes
-                            .iter()
-                            .filter_map(|s| s.module.clone())
-                            .collect();
-                        let self_ty = scopes.iter().rev().find_map(|s| s.self_ty.clone());
-                        parse_fn(
-                            &mut cx,
-                            &mut out,
-                            module,
-                            self_ty,
-                            pend_pub,
-                            pend_test || inherited_test,
-                            pend_start,
-                        );
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    "struct" => {
-                        cx.bump();
-                        let (name, line) = cx
-                            .bump()
-                            .map(|n| (n.text.clone(), n.line))
-                            .unwrap_or_default();
-                        if cx.peek(0).is_some_and(|n| n.is_punct("<")) {
-                            cx.skip_generics();
-                        }
-                        match cx.peek(0) {
-                            Some(n) if n.is_punct("{") => {
-                                let (s, e) = cx.skip_balanced();
-                                let (fields, lock_fields) = parse_struct_fields(&cx, s, e);
-                                out.structs.push(StructDef { name, line, fields, lock_fields });
-                            }
-                            Some(n) if n.is_punct("(") => {
-                                cx.skip_balanced();
-                                cx.skip_to_semi();
-                            }
-                            _ => cx.skip_to_semi(),
-                        }
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    "enum" | "union" => {
-                        cx.bump();
-                        cx.bump(); // name
-                        if cx.peek(0).is_some_and(|n| n.is_punct("<")) {
-                            cx.skip_generics();
-                        }
-                        if cx.peek(0).is_some_and(|n| n.is_punct("{")) {
-                            cx.skip_balanced();
-                        } else {
-                            cx.skip_to_semi();
-                        }
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    "use" | "type" | "const" => {
-                        cx.skip_to_semi();
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    "static" => {
-                        cx.bump();
-                        if cx.peek(0).is_some_and(|n| n.is_ident("mut")) {
-                            cx.bump();
-                        }
-                        let name = cx
-                            .peek(0)
-                            .filter(|n| n.kind == TokenKind::Ident)
-                            .map(|n| (n.text.clone(), n.line));
-                        if name.is_some() {
-                            cx.bump();
-                        }
-                        if let Some((name, line)) = name {
-                            if cx.peek(0).is_some_and(|n| n.is_punct(":")) {
-                                cx.bump();
-                                // Scan the declared type to `=`/`;` at depth
-                                // 0 for a lock type name.
-                                let mut kind: Option<String> = None;
-                                let mut depth = 0isize;
-                                while let Some(t) = cx.peek(0) {
-                                    if t.kind == TokenKind::Punct {
-                                        match t.text.as_str() {
-                                            "(" | "[" | "<" => depth += 1,
-                                            "<<" => depth += 2,
-                                            ")" | "]" | ">" => depth -= 1,
-                                            ">>" => depth -= 2,
-                                            "=" | ";" if depth <= 0 => break,
-                                            _ => {}
-                                        }
-                                    } else if t.kind == TokenKind::Ident
-                                        && kind.is_none()
-                                        && LOCK_TYPES.contains(&t.text.as_str())
-                                    {
-                                        kind = Some(t.text.clone());
-                                    }
-                                    cx.bump();
-                                }
-                                if let Some(kind) = kind {
-                                    out.statics.push(StaticDef { name, kind, line });
-                                }
-                            }
-                        }
-                        cx.skip_to_semi();
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    "macro_rules" => {
-                        cx.bump();
-                        cx.bump(); // !
-                        cx.bump(); // name
-                        if cx.peek(0).is_some_and(|n| n.is_punct("{")) {
-                            cx.skip_balanced();
-                        }
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
-                    _ => {
-                        cx.bump();
-                        (pend_test, pend_pub, pend_start) = (false, false, None);
-                    }
+                let name = cx.bump().map(|n| n.text.clone()).unwrap_or_default();
+                if peek_is(&cx, "{") {
+                    cx.bump();
+                    scopes.push(Scope {
+                        module: Some(name),
+                        self_ty: None,
+                    });
+                } else {
+                    cx.skip_to_semi();
                 }
             }
-            TokenKind::Punct if t.text == "{" => {
+            (TokenKind::Ident, "impl") => {
                 cx.bump();
-                scopes.push(Scope { module: None, self_ty: None, test: false });
-                (pend_test, pend_pub, pend_start) = (false, false, None);
+                if peek_is(&cx, "<") {
+                    cx.skip_generics();
+                }
+                let first = parse_type_path(&mut cx);
+                let self_ty = if cx.peek(0).is_some_and(|n| n.is_ident("for")) {
+                    cx.bump();
+                    parse_type_path(&mut cx)
+                } else {
+                    first
+                };
+                // Skip `where …` up to the opening brace.
+                cx.seek(|n| n.is_punct("{"));
+                if peek_is(&cx, "{") {
+                    cx.bump();
+                    scopes.push(Scope {
+                        module: None,
+                        self_ty,
+                    });
+                }
             }
-            TokenKind::Punct if t.text == "}" => {
+            (TokenKind::Ident, "trait") => {
+                cx.bump();
+                let name = cx.bump().map(|n| n.text.clone());
+                cx.seek(|n| n.is_punct("{") || n.is_punct(";"));
+                let braced = peek_is(&cx, "{");
+                cx.bump();
+                if braced {
+                    scopes.push(Scope {
+                        module: None,
+                        self_ty: name,
+                    });
+                }
+            }
+            (TokenKind::Ident, "fn") => {
+                let module: Vec<String> = scopes.iter().filter_map(|s| s.module.clone()).collect();
+                let self_ty = scopes.iter().rev().find_map(|s| s.self_ty.clone());
+                parse_fn(&mut cx, &mut out, module, self_ty, pend_pub, pend_start);
+            }
+            (TokenKind::Ident, "struct") => {
+                cx.bump();
+                let (name, line) = cx
+                    .bump()
+                    .map(|n| (n.text.clone(), n.line))
+                    .unwrap_or_default();
+                if peek_is(&cx, "<") {
+                    cx.skip_generics();
+                }
+                if peek_is(&cx, "{") {
+                    let (s, e) = cx.skip_balanced();
+                    let (fields, lock_fields) = parse_struct_fields(code, s, e);
+                    out.structs.push(StructDef {
+                        name,
+                        line,
+                        fields,
+                        lock_fields,
+                    });
+                } else {
+                    if peek_is(&cx, "(") {
+                        cx.skip_balanced();
+                    }
+                    cx.skip_to_semi();
+                }
+            }
+            (TokenKind::Ident, "enum" | "union") => {
+                cx.bump();
+                cx.bump(); // name
+                if peek_is(&cx, "<") {
+                    cx.skip_generics();
+                }
+                if peek_is(&cx, "{") {
+                    cx.skip_balanced();
+                } else {
+                    cx.skip_to_semi();
+                }
+            }
+            (TokenKind::Ident, "use" | "type" | "const") => cx.skip_to_semi(),
+            (TokenKind::Ident, "static") => {
+                cx.bump();
+                if cx.peek(0).is_some_and(|n| n.is_ident("mut")) {
+                    cx.bump();
+                }
+                let name = cx.peek(0).filter(|n| n.kind == TokenKind::Ident);
+                if let Some(name) = name {
+                    cx.bump();
+                    if peek_is(&cx, ":") {
+                        cx.bump();
+                        // The first lock type name in the declared type
+                        // makes the static a lock.
+                        let ty = cx.pos;
+                        cx.seek(|n| n.is_punct("=") || n.is_punct(";"));
+                        let kind = (ty..cx.pos).map(|p| code.tok(p)).find(|n| {
+                            n.kind == TokenKind::Ident && LOCK_TYPES.contains(&n.text.as_str())
+                        });
+                        if let Some(kind) = kind {
+                            out.statics.push(StaticDef {
+                                name: name.text.clone(),
+                                kind: kind.text.clone(),
+                                line: name.line,
+                            });
+                        }
+                    }
+                }
+                cx.skip_to_semi();
+            }
+            (TokenKind::Ident, "macro_rules") => {
+                cx.bump();
+                cx.bump(); // !
+                cx.bump(); // name
+                if peek_is(&cx, "{") {
+                    cx.skip_balanced();
+                }
+            }
+            (TokenKind::Punct, "{") => {
+                cx.bump();
+                scopes.push(Scope {
+                    module: None,
+                    self_ty: None,
+                });
+            }
+            (TokenKind::Punct, "}") => {
                 cx.bump();
                 scopes.pop();
-                (pend_test, pend_pub, pend_start) = (false, false, None);
             }
             _ => {
                 cx.bump();
-                (pend_test, pend_pub, pend_start) = (false, false, None);
             }
         }
+        (pend_pub, pend_start) = (false, None);
     }
     out
 }
@@ -816,109 +915,66 @@ fn parse_type_path(cx: &mut Cursor) -> Option<String> {
     last
 }
 
-/// Parses `name: Type` fields inside a struct body `code` range.
+/// Parses `name: Type` fields inside a struct body's code range.
 ///
 /// Returns `(fields, lock_fields)`: `fields` maps each named field to its
 /// type tail (for method resolution), while `lock_fields` records fields
 /// whose full declared type mentions a lock primitive anywhere (so
 /// `Vec<Mutex<Shard>>` still registers as a `Mutex` field).
 fn parse_struct_fields(
-    cx: &Cursor,
+    c: &Code,
     start: usize,
     end: usize,
 ) -> (Vec<(String, String)>, Vec<(String, String)>) {
     let mut fields = Vec::new();
     let mut lock_fields = Vec::new();
-    let mut i = start;
-    // depth over (), [], <> so commas inside generic args don't split.
-    while i < end {
+    for (mut i, e) in c.split(start, end, true, ",") {
         // Field start: skip attrs / pub(...)
-        while i < end {
-            let t = &cx.toks[cx.code[i]];
+        while i < e {
+            let t = c.tok(i);
             if matches!(t.kind, TokenKind::Attr { .. }) {
                 i += 1;
             } else if t.is_ident("pub") {
                 i += 1;
-                if i < end && cx.toks[cx.code[i]].is_punct("(") {
-                    let mut d = 0isize;
-                    while i < end {
-                        let u = &cx.toks[cx.code[i]];
-                        if u.is_punct("(") {
-                            d += 1;
-                        } else if u.is_punct(")") {
-                            d -= 1;
-                            if d == 0 {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        i += 1;
-                    }
+                if i < e && c.tok(i).is_punct("(") {
+                    i = c.close(i) + 1;
                 }
             } else {
                 break;
             }
         }
-        if i >= end {
-            break;
-        }
-        let name_tok = &cx.toks[cx.code[i]];
-        let named = name_tok.kind == TokenKind::Ident
-            && i + 1 < end
-            && cx.toks[cx.code[i + 1]].is_punct(":");
+        let named = i + 1 < e && c.tok(i).kind == TokenKind::Ident && c.tok(i + 1).is_punct(":");
         if !named {
             break; // not a named-field body
         }
-        let name = name_tok.text.clone();
-        i += 2;
-        let ty_start = i;
-        let mut depth = 0isize;
-        while i < end {
-            let t = &cx.toks[cx.code[i]];
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "<" => depth += 1,
-                    "<<" => depth += 2,
-                    ">" => depth -= 1,
-                    ">>" => depth -= 2,
-                    "," if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        let ty_toks: Vec<&Token> = (ty_start..i).map(|j| &cx.toks[cx.code[j]]).collect();
+        let name = c.tok(i).text.clone();
         let lock_kind = LOCK_TYPES
             .iter()
-            .find(|k| ty_toks.iter().any(|t| t.kind == TokenKind::Ident && t.text == **k));
+            .find(|k| (i + 2..e).any(|p| c.tok(p).is_ident(k)));
         if let Some(kind) = lock_kind {
             lock_fields.push((name.clone(), (*kind).to_string()));
         }
-        if let Some(tail) = type_tail(&ty_toks) {
+        if let Some(tail) = type_tail(c, i + 2, e) {
             fields.push((name, tail));
         }
-        i += 1; // skip the comma
     }
     (fields, lock_fields)
 }
 
 /// Parses one `fn` starting at the `fn` keyword.
-#[allow(clippy::too_many_arguments)]
 fn parse_fn(
     cx: &mut Cursor,
     out: &mut ParsedFile,
     module: Vec<String>,
     self_ty: Option<String>,
     is_pub: bool,
-    is_test: bool,
     pend_start: Option<u32>,
 ) {
+    let c = cx.c;
     let fn_tok_line = cx.peek(0).map(|t| t.line).unwrap_or(0);
     cx.bump(); // `fn`
     let Some(name_tok) = cx.bump() else { return };
-    let (name, line, col) = (name_tok.text.clone(), name_tok.line, name_tok.col);
+    let is_test = c.in_test(cx.pos - 1);
     if cx.peek(0).is_some_and(|t| t.is_punct("<")) {
         cx.skip_generics();
     }
@@ -927,60 +983,32 @@ fn parse_fn(
     let mut param_names = Vec::new();
     if cx.peek(0).is_some_and(|t| t.is_punct("(")) {
         let (s, e) = cx.skip_balanced();
-        (params, param_names) = parse_params(cx, s, e);
+        (params, param_names) = parse_params(c, s, e);
     }
-    // Return type.
+    // Return type: up to the body, the `;` or a `where` clause.
     let mut returns_result = false;
     let mut returns_guard = false;
     if cx.peek(0).is_some_and(|t| t.is_punct("->")) {
         cx.bump();
-        let mut angle = 0isize;
-        let mut first = true;
-        while let Some(t) = cx.peek(0) {
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "<" => angle += 1,
-                    "<<" => angle += 2,
-                    ">" => angle -= 1,
-                    ">>" => angle -= 2,
-                    "{" | ";" if angle <= 0 => break,
-                    "(" | "[" => angle += 1,
-                    ")" | "]" => angle -= 1,
-                    _ => {}
-                }
-            } else if t.kind == TokenKind::Ident {
-                if angle == 0 && t.text == "where" {
-                    break;
-                }
-                if t.text == "Result" && (first || angle == 0) {
-                    returns_result = true;
-                }
-                if GUARD_TYPES.contains(&t.text.as_str()) {
-                    returns_guard = true;
-                }
-            }
-            first = false;
-            cx.bump();
-        }
+        let ty = cx.pos;
+        cx.seek(|t| {
+            returns_result |= t.is_ident("Result");
+            t.is_punct("{") || t.is_punct(";") || t.is_ident("where")
+        });
+        returns_guard = (ty..cx.pos).any(|p| {
+            let t = c.tok(p);
+            t.kind == TokenKind::Ident && GUARD_TYPES.contains(&t.text.as_str())
+        });
     }
     // Where clause.
     if cx.peek(0).is_some_and(|t| t.is_ident("where")) {
-        while let Some(t) = cx.peek(0) {
-            if t.is_punct("{") || t.is_punct(";") {
-                break;
-            }
-            if t.is_punct("<") {
-                cx.skip_generics();
-            } else {
-                cx.bump();
-            }
-        }
+        cx.seek(|t| t.is_punct("{") || t.is_punct(";"));
     }
     // Body or `;`.
     let body = match cx.peek(0) {
         Some(t) if t.is_punct("{") => {
             let (s, e) = cx.skip_balanced();
-            Some(extract_body(cx, out, &module, self_ty.clone(), is_test, s, e))
+            Some(extract_body(c, out, &module, self_ty.clone(), s, e))
         }
         Some(t) if t.is_punct(";") => {
             cx.bump();
@@ -989,12 +1017,12 @@ fn parse_fn(
         _ => None,
     };
     out.fns.push(FnDef {
-        name,
+        name: name_tok.text.clone(),
         module,
         self_ty,
         is_pub,
-        line,
-        col,
+        line: name_tok.line,
+        col: name_tok.col,
         attach_line: pend_start.unwrap_or(fn_tok_line),
         returns_result,
         returns_guard,
@@ -1007,81 +1035,48 @@ fn parse_fn(
 
 /// Recognizes a byte-slice type (`&[u8]`, `&mut [u8]`) that [`type_tail`]
 /// cannot classify — the untrusted-input boundary the taint pass seeds.
-fn byte_slice_tail(toks: &[&Token]) -> Option<String> {
-    let mut i = 0usize;
-    while i < toks.len() {
-        let t = toks[i];
-        if t.is_punct("&") || t.kind == TokenKind::Lifetime || t.is_ident("mut") {
-            i += 1;
-        } else {
-            break;
-        }
+fn byte_slice_tail(c: &Code, from: usize, end: usize) -> Option<String> {
+    let mut i = from;
+    while i < end && {
+        let t = c.tok(i);
+        t.is_punct("&") || t.kind == TokenKind::Lifetime || t.is_ident("mut")
+    } {
+        i += 1;
     }
-    if i + 2 < toks.len()
-        && toks[i].is_punct("[")
-        && toks[i + 1].is_ident("u8")
-        && toks[i + 2].is_punct("]")
-    {
-        return Some("[u8]".to_string());
-    }
-    None
+    let slice = i + 2 < end
+        && c.tok(i).is_punct("[")
+        && c.tok(i + 1).is_ident("u8")
+        && c.tok(i + 2).is_punct("]");
+    slice.then(|| "[u8]".to_string())
 }
 
-/// Parses the param list `code` range into typed `(name, type tail)` pairs
+/// Parses the param list's code range into typed `(name, type tail)` pairs
 /// plus the positional name list (every non-`self` param in order, `""` for
 /// patterns) that call-argument alignment needs.
-fn parse_params(cx: &Cursor, start: usize, end: usize) -> (Vec<(String, String)>, Vec<String>) {
+fn parse_params(c: &Code, start: usize, end: usize) -> (Vec<(String, String)>, Vec<String>) {
     let mut params = Vec::new();
     let mut names = Vec::new();
-    let mut i = start;
-    while i < end {
-        // One param: up to a top-level comma.
-        let p_start = i;
-        let mut depth = 0isize;
-        while i < end {
-            let t = &cx.toks[cx.code[i]];
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "<" => depth += 1,
-                    "<<" => depth += 2,
-                    ">" => depth -= 1,
-                    ">>" => depth -= 2,
-                    "," if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        let toks: Vec<&Token> = (p_start..i).map(|j| &cx.toks[cx.code[j]]).collect();
-        i += 1;
-        if toks.is_empty() {
+    for (s, e) in c.split(start, end, true, ",") {
+        if s >= e {
             continue;
         }
         // A `self` receiver (`&self`, `mut self`, `self: Arc<Self>`) is not
         // a paren argument at call sites, so it gets no positional slot.
-        if toks.iter().any(|t| t.is_ident("self")) && !toks.iter().any(|t| t.is_punct(":")) {
+        let has = |f: fn(&Token) -> bool| (s..e).any(|p| f(c.tok(p)));
+        if has(|t| t.is_ident("self")) && !has(|t| t.is_punct(":")) {
             continue;
         }
         // `name: Type` with an optional leading `mut`; everything else
         // (destructuring patterns) keeps its position but stays unnamed.
-        let mut j = 0usize;
-        if j < toks.len() && toks[j].is_ident("mut") {
-            j += 1;
-        }
-        if j + 1 < toks.len()
-            && toks[j].kind == TokenKind::Ident
-            && toks[j + 1].is_punct(":")
-        {
-            if toks[j].is_ident("self") {
+        let j = if c.tok(s).is_ident("mut") { s + 1 } else { s };
+        if j + 1 < e && c.tok(j).kind == TokenKind::Ident && c.tok(j + 1).is_punct(":") {
+            if c.tok(j).is_ident("self") {
                 continue;
             }
-            names.push(toks[j].text.clone());
-            if let Some(tail) =
-                type_tail(&toks[j + 2..]).or_else(|| byte_slice_tail(&toks[j + 2..]))
-            {
-                params.push((toks[j].text.clone(), tail));
+            let name = c.tok(j).text.clone();
+            names.push(name.clone());
+            if let Some(tail) = type_tail(c, j + 2, e).or_else(|| byte_slice_tail(c, j + 2, e)) {
+                params.push((name, tail));
             }
         } else {
             names.push(String::new());
@@ -1091,61 +1086,28 @@ fn parse_params(cx: &Cursor, start: usize, end: usize) -> (Vec<(String, String)>
 }
 
 /// Collects the idents of each top-level comma-separated argument of the
-/// call whose name token sits at code index `i` (skipping a turbofish).
-fn call_args(cx: &Cursor, i: usize, end: usize) -> Vec<Vec<String>> {
+/// call whose name token sits at code position `i` (skipping a turbofish).
+fn call_args(c: &Code, i: usize, end: usize) -> Vec<Vec<String>> {
     let mut p = i + 1;
     // `name::<T>(…)` — hop over the turbofish to the paren group.
-    if p < end && cx.toks[cx.code[p]].is_punct("::") {
+    if p < end && c.tok(p).is_punct("::") {
         p += 1;
-        if p < end && cx.toks[cx.code[p]].is_punct("<") {
-            let mut d = 0isize;
-            while p < end {
-                let t = &cx.toks[cx.code[p]];
-                if t.kind == TokenKind::Punct {
-                    match t.text.as_str() {
-                        "<" => d += 1,
-                        "<<" => d += 2,
-                        ">" => d -= 1,
-                        ">>" => d -= 2,
-                        _ => {}
-                    }
-                }
-                p += 1;
-                if d <= 0 {
-                    break;
-                }
-            }
+        if p < end && c.tok(p).is_punct("<") {
+            p = c.angle_end(p);
         }
     }
-    if p >= end || !cx.toks[cx.code[p]].is_punct("(") {
+    if p >= end || !c.tok(p).is_punct("(") {
         return Vec::new();
     }
-    let mut args: Vec<Vec<String>> = vec![Vec::new()];
-    let mut d = 0isize;
-    let mut q = p;
-    while q < end {
-        let t = &cx.toks[cx.code[q]];
-        if t.kind == TokenKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
-                "," if d == 1 => args.push(Vec::new()),
-                _ => {}
-            }
-        } else if t.kind == TokenKind::Ident && !EXPR_KEYWORDS.contains(&t.text.as_str()) {
-            if let Some(last) = args.last_mut() {
-                last.push(t.text.clone());
-            }
+    let args: Vec<Vec<String>> = c
+        .split(p + 1, c.close(p).min(end), false, ",")
+        .into_iter()
+        .map(|(s, e)| operand(c, s, e).0)
+        .collect();
+    if let [only] = &args[..] {
+        if only.is_empty() {
+            return Vec::new();
         }
-        q += 1;
-    }
-    if args.len() == 1 && args[0].is_empty() {
-        args.clear();
     }
     args
 }
@@ -1161,290 +1123,171 @@ fn check_continues(t: &Token) -> bool {
         TokenKind::Ident => t.text == "as" || !EXPR_KEYWORDS.contains(&t.text.as_str()),
         TokenKind::Int | TokenKind::Float => true,
         TokenKind::Punct => {
-            matches!(t.text.as_str(), "." | "::" | "[" | "]" | "*" | "+" | "-" | "/" | "%")
+            matches!(
+                t.text.as_str(),
+                "." | "::" | "[" | "]" | "*" | "+" | "-" | "/" | "%"
+            )
         }
         _ => false,
     }
 }
 
-/// Extracts body facts from a `code` range (nested `fn` items are parsed
-/// as their own definitions and excluded from the outer body's facts).
-#[allow(clippy::too_many_arguments)]
+/// Extracts a body's facts from its interior `start..end` in one walk.
+///
+/// Each fact looks at most at the statement or group around its token, so
+/// one forward pass suffices: a discarded call is decided at its
+/// statement's start, before the walk reaches the call, and guard scopes
+/// end at their brace's partner in the bracket table. Only the return
+/// spans wait for the walk's end, because a trailing expression is known
+/// once the last top-level `;` is.
 fn extract_body(
-    cx: &mut Cursor,
+    c: &Code,
     out: &mut ParsedFile,
     module: &[String],
     self_ty: Option<String>,
-    is_test: bool,
     start: usize,
     end: usize,
 ) -> Body {
     let mut body = Body::default();
-    // Nested fns: find their spans first so the main scan can skip them.
-    // (Rare; handled for correctness of fact attribution.)
-    let mut skip_ranges: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut i = start;
-        while i < end {
-            let t = &cx.toks[cx.code[i]];
-            if t.is_ident("fn")
-                && i + 2 < end
-                && cx.toks[cx.code[i + 1]].kind == TokenKind::Ident
-            {
-                // Parse the nested fn with a sub-cursor.
-                let mut sub = Cursor { toks: cx.toks, code: cx.code.clone(), pos: i };
-                parse_fn(
-                    &mut sub,
-                    out,
-                    module.to_vec(),
-                    self_ty.clone(),
-                    false,
-                    is_test,
-                    None,
-                );
-                skip_ranges.push((i, sub.pos.min(end)));
-                i = sub.pos.min(end);
-            } else {
-                i += 1;
-            }
-        }
-    }
-    let skipped = |i: usize| skip_ranges.iter().any(|&(s, e)| i >= s && i < e);
-
-    // Pass 1: typed locals and loop counters.
-    let mut i = start;
-    while i < end {
-        if skipped(i) {
-            i += 1;
-            continue;
-        }
-        let t = &cx.toks[cx.code[i]];
-        if t.is_ident("let") {
-            let mut j = i + 1;
-            if j < end && cx.toks[cx.code[j]].is_ident("mut") {
-                j += 1;
-            }
-            // `let x = Type::ctor(…)` — infer the local's type from the
-            // constructor path (covers the ubiquitous `let m = Mlp::new(…)`).
-            if j + 3 < end
-                && cx.toks[cx.code[j]].kind == TokenKind::Ident
-                && cx.toks[cx.code[j + 1]].is_punct("=")
-                && cx.toks[cx.code[j + 2]].kind == TokenKind::Ident
-                && cx.toks[cx.code[j + 2]]
-                    .text
-                    .chars()
-                    .next()
-                    .is_some_and(char::is_uppercase)
-                && cx.toks[cx.code[j + 3]].is_punct("::")
-            {
-                body.locals.push((
-                    cx.toks[cx.code[j]].text.clone(),
-                    cx.toks[cx.code[j + 2]].text.clone(),
-                    cx.toks[cx.code[j]].line,
-                ));
-            }
-            if j + 1 < end
-                && cx.toks[cx.code[j]].kind == TokenKind::Ident
-                && cx.toks[cx.code[j + 1]].is_punct(":")
-            {
-                let name = cx.toks[cx.code[j]].text.clone();
-                let line = cx.toks[cx.code[j]].line;
-                // Type tokens to `=` or `;` at depth 0.
-                let ty_start = j + 2;
-                let mut k = ty_start;
-                let mut depth = 0isize;
-                while k < end {
-                    let u = &cx.toks[cx.code[k]];
-                    if u.kind == TokenKind::Punct {
-                        match u.text.as_str() {
-                            "(" | "[" => depth += 1,
-                            ")" | "]" => depth -= 1,
-                            "<" => depth += 1,
-                            "<<" => depth += 2,
-                            ">" => depth -= 1,
-                            ">>" => depth -= 2,
-                            "=" | ";" if depth == 0 => break,
-                            _ => {}
-                        }
-                    }
-                    k += 1;
-                }
-                let ty_toks: Vec<&Token> =
-                    (ty_start..k).map(|m| &cx.toks[cx.code[m]]).collect();
-                if let Some(tail) = type_tail(&ty_toks) {
-                    body.locals.push((name, tail, line));
-                }
-            }
-        } else if t.is_ident("for")
-            && i + 2 < end
-            && cx.toks[cx.code[i + 1]].kind == TokenKind::Ident
-            && cx.toks[cx.code[i + 2]].is_ident("in")
-        {
-            // `for i in a..b` — classify the counter as usize when a bound
-            // is an int literal, `.len()`, or a usize-typed name (by far
-            // the dominant shape in this workspace's kernels).
-            let name = cx.toks[cx.code[i + 1]].text.clone();
-            let line = cx.toks[cx.code[i + 1]].line;
-            let mut k = i + 3;
-            let mut range = false;
-            while k < end {
-                let u = &cx.toks[cx.code[k]];
-                if u.is_punct("{") {
-                    break;
-                }
-                if u.is_punct("..") || u.is_punct("..=") {
-                    range = true;
-                }
-                k += 1;
-            }
-            if range {
-                body.locals.push((name, "usize".to_string(), line));
-            }
-        }
-        i += 1;
-    }
-
-    // Discarded-call detection: statements `let _ = <expr>;` and bare
-    // `<call-chain>;` — record the code-index of the outermost call.
-    let mut discard_calls: Vec<usize> = Vec::new();
-    let mut i = start;
+    // Nested fn items: parsed as their own definitions where the walk meets
+    // them; their ranges stay out of this body's facts.
+    let mut nested: Vec<(usize, usize)> = Vec::new();
+    // Call positions whose statement discards the value.
+    let mut discarded: HashSet<usize> = HashSet::new();
     let mut stmt_start = true;
+    // Open delimiters `(position, is a loop body)`; a pending
+    // `loop`/`while`/`for` marks the next `{` as a loop body.
+    let mut open: Vec<(usize, bool)> = Vec::new();
+    let mut pending_loop = false;
+    // Value ranges of `return` statements, and the last top-level `;`.
+    let mut returns: Vec<(usize, usize)> = Vec::new();
+    let mut last_semi: Option<usize> = None;
+    let fn_close = if end < c.len() {
+        c.pos(end)
+    } else {
+        c.toks.last().map_or((u32::MAX, 0), |t| (t.line, t.col))
+    };
+    let mut i = start;
     while i < end {
-        if skipped(i) {
-            i += 1;
+        let t = c.tok(i);
+        if t.is_ident("fn") && i + 2 < end && c.tok(i + 1).kind == TokenKind::Ident {
+            let mut sub = Cursor { c, pos: i };
+            parse_fn(&mut sub, out, module.to_vec(), self_ty.clone(), false, None);
+            nested.push((i, sub.pos.min(end)));
+            i = sub.pos.min(end);
             stmt_start = true;
             continue;
         }
-        let t = &cx.toks[cx.code[i]];
+        // Lookbehind stops at the body start and at a nested fn.
+        let floor = nested.last().map_or(start, |&(_, e)| e);
+        let prev = |n: usize| i.checked_sub(n).filter(|&p| p >= floor).map(|p| c.tok(p));
+        let next = |n: usize| (i + n < end).then(|| c.tok(i + n));
+        let (line, col) = (t.line, t.col);
+
+        // Discarded calls: statements `let _ = <expr>;` and bare
+        // `<call-chain>;` — record the position of the outermost call.
         if stmt_start {
-            if t.is_ident("let")
-                && i + 2 < end
-                && cx.toks[cx.code[i + 1]].is_ident("_")
-                && cx.toks[cx.code[i + 2]].is_punct("=")
+            let from = if t.is_ident("let")
+                && next(1).is_some_and(|n| n.is_ident("_"))
+                && next(2).is_some_and(|n| n.is_punct("="))
             {
-                if let Some(call) = outermost_call(cx, i + 3, end) {
-                    discard_calls.push(call);
-                }
-            } else if t.kind == TokenKind::Ident
-                && !EXPR_KEYWORDS.contains(&t.text.as_str())
-            {
-                if let Some(call) = outermost_call(cx, i, end) {
-                    discard_calls.push(call);
-                }
+                Some(i + 3)
+            } else {
+                (t.kind == TokenKind::Ident && !EXPR_KEYWORDS.contains(&t.text.as_str()))
+                    .then_some(i)
+            };
+            if let Some(call) = from.and_then(|f| outermost_call(c, f, end)) {
+                discarded.insert(call);
             }
         }
         stmt_start = t.is_punct(";") || t.is_punct("{") || t.is_punct("}");
-        i += 1;
-    }
 
-    // Pass 2: calls, panics, indexes, casts.
-    let mut i = start;
-    while i < end {
-        if skipped(i) {
-            i += 1;
-            continue;
-        }
-        let t = &cx.toks[cx.code[i]];
-        let prev = |n: usize| {
-            i.checked_sub(n)
-                .filter(|&p| p >= start && !skipped(p))
-                .map(|p| &cx.toks[cx.code[p]])
-        };
-        let next = |n: usize| {
-            let p = i + n;
-            if p < end {
-                Some(&cx.toks[cx.code[p]])
-            } else {
-                None
-            }
-        };
         match t.kind {
             TokenKind::Ident => {
                 let name = t.text.as_str();
-                if name == "if" || name == "while" {
-                    // Bare boolean condition (`if on {`, `while !self.done {`):
-                    // the tested idents are bools, not magnitudes, so they are
-                    // recorded as check evidence — a return span like
-                    // `if on { return ON; } OFF` must not taint on `on`.
-                    let mut idents = Vec::new();
-                    let mut bare = true;
-                    let mut q = i + 1;
-                    while q < end {
-                        if skipped(q) {
-                            q += 1;
-                            continue;
-                        }
-                        let u = &cx.toks[cx.code[q]];
-                        if u.is_punct("{") {
-                            break;
-                        }
-                        match u.kind {
-                            TokenKind::Ident if !EXPR_KEYWORDS.contains(&u.text.as_str()) => {
-                                idents.push(u.text.clone());
-                            }
-                            TokenKind::Punct
-                                if matches!(u.text.as_str(), "." | "!" | "&&" | "||") => {}
-                            _ => {
-                                bare = false;
-                                break;
+                match name {
+                    "let" => let_facts(c, i, end, &open, fn_close, &mut body),
+                    "loop" => pending_loop = true,
+                    "for" => {
+                        pending_loop = true;
+                        // `for i in a..b` — classify the counter as usize
+                        // (by far the dominant shape in this workspace's
+                        // kernels).
+                        let counter = next(1).filter(|n| n.kind == TokenKind::Ident);
+                        if let Some(n) =
+                            counter.filter(|_| next(2).is_some_and(|m| m.is_ident("in")))
+                        {
+                            let range = (i + 3..end)
+                                .map(|k| c.tok(k))
+                                .take_while(|u| !u.is_punct("{"))
+                                .any(|u| u.is_punct("..") || u.is_punct("..="));
+                            if range {
+                                body.locals
+                                    .push((n.text.clone(), "usize".to_string(), n.line));
                             }
                         }
-                        q += 1;
                     }
-                    if bare && !idents.is_empty() {
-                        body.checks.push(CheckSite { line: t.line, idents });
+                    "if" | "while" => {
+                        pending_loop |= name == "while";
+                        // Bare boolean condition (`if on {`, `while !self.done {`):
+                        // the tested idents are bools, not magnitudes, so they are
+                        // recorded as check evidence — a return span like
+                        // `if on { return ON; } OFF` must not taint on `on`.
+                        let mut idents = Vec::new();
+                        let mut bare = true;
+                        for u in (i + 1..end)
+                            .map(|q| c.tok(q))
+                            .take_while(|u| !u.is_punct("{"))
+                        {
+                            match u.kind {
+                                TokenKind::Ident if !EXPR_KEYWORDS.contains(&u.text.as_str()) => {
+                                    idents.push(u.text.clone());
+                                }
+                                TokenKind::Punct
+                                    if matches!(u.text.as_str(), "." | "!" | "&&" | "||") => {}
+                                _ => {
+                                    bare = false;
+                                    break;
+                                }
+                            }
+                        }
+                        if bare && !idents.is_empty() {
+                            body.checks.push(CheckSite { line, idents });
+                        }
                     }
+                    "return" => {
+                        // The value runs to the `;` (or enclosing `}`/`,`).
+                        let e = c.seek(i + 1, end, false, |u| u.is_punct(";") || u.is_punct(","));
+                        returns.push((i + 1, e));
+                    }
+                    _ => {}
                 }
-                // Panic macros.
                 if next(1).is_some_and(|n| n.is_punct("!")) {
                     if name == "vec" && next(2).is_some_and(|n| n.is_punct("[")) {
                         // `vec![elem; len]` — idents after the top-level `;`.
-                        let mut len_idents = Vec::new();
-                        let mut in_len = false;
-                        let mut d = 0isize;
-                        let mut q = i + 2;
-                        while q < end {
-                            let u = &cx.toks[cx.code[q]];
-                            if u.kind == TokenKind::Punct {
-                                match u.text.as_str() {
-                                    "(" | "[" | "{" => d += 1,
-                                    ")" | "]" | "}" => {
-                                        d -= 1;
-                                        if d == 0 {
-                                            break;
-                                        }
-                                    }
-                                    ";" if d == 1 => in_len = true,
-                                    _ => {}
-                                }
-                            } else if in_len
-                                && u.kind == TokenKind::Ident
-                                && !EXPR_KEYWORDS.contains(&u.text.as_str())
-                            {
-                                len_idents.push(u.text.clone());
-                            }
-                            q += 1;
-                        }
-                        if in_len {
+                        let close = c.close(i + 2).min(end);
+                        let semi = c.seek(i + 3, close, false, |u| u.is_punct(";"));
+                        if semi < close && c.tok(semi).is_punct(";") {
+                            let len_idents = operand(c, semi + 1, close).0;
                             body.vec_macros.push(VecMacroSite {
-                                line: t.line,
-                                col: t.col,
+                                line,
+                                col,
                                 len_idents,
                             });
                         }
                     }
-                    if PANIC_MACROS.contains(&name) {
-                        body.panics.push(PanicSite {
-                            line: t.line,
-                            col: t.col,
-                            kind: PanicKind::Macro,
-                            what: format!("{name}!"),
-                        });
+                    let kind = if PANIC_MACROS.contains(&name) {
+                        Some(PanicKind::Macro)
                     } else if ASSERT_MACROS.contains(&name) {
+                        Some(PanicKind::Assert)
+                    } else {
+                        None
+                    };
+                    if let Some(kind) = kind {
                         body.panics.push(PanicSite {
-                            line: t.line,
-                            col: t.col,
-                            kind: PanicKind::Assert,
+                            line,
+                            col,
+                            kind,
                             what: format!("{name}!"),
                         });
                     }
@@ -1452,14 +1295,15 @@ fn extract_body(
                     && prev(1).is_some_and(|p| p.is_punct("."))
                     && next(1).is_some_and(|n| n.is_punct("("))
                 {
+                    let what = format!(".{name}()");
                     body.panics.push(PanicSite {
-                        line: t.line,
-                        col: t.col,
+                        line,
+                        col,
                         kind: PanicKind::UnwrapExpect,
-                        what: format!(".{name}()"),
+                        what,
                     });
                 } else if name == "as" {
-                    if let Some(cast) = classify_cast(cx, i, start, end) {
+                    if let Some(cast) = classify_cast(c, i, start, end) {
                         body.casts.push(cast);
                     }
                 }
@@ -1467,470 +1311,271 @@ fn extract_body(
                 let is_call = !EXPR_KEYWORDS.contains(&name)
                     && match next(1) {
                         Some(n) if n.is_punct("(") => true,
-                        Some(n) if n.is_punct("::") => {
-                            // turbofish `name::<T>(…)`
-                            next(2).is_some_and(|m| m.is_punct("<"))
-                        }
+                        // turbofish `name::<T>(…)`
+                        Some(n) if n.is_punct("::") => next(2).is_some_and(|m| m.is_punct("<")),
                         _ => false,
                     }
                     && !prev(1).is_some_and(|p| p.is_ident("fn"));
                 if is_call {
-                    let (qualifier, receiver) = call_context(cx, i, start);
+                    let (qualifier, receiver) = call_context(c, i, start);
                     body.calls.push(CallSite {
-                        line: t.line,
-                        col: t.col,
-                        name: t.text.clone(),
+                        line,
+                        col,
+                        name: name.to_string(),
                         qualifier,
                         receiver,
-                        discarded: discard_calls.contains(&i),
-                        args: call_args(cx, i, end),
+                        discarded: discarded.contains(&i),
+                        args: call_args(c, i, end),
                     });
                 }
-            }
-            TokenKind::Punct if t.text == "[" => {
-                let indexable = prev(1).is_some_and(|p| {
-                    p.kind == TokenKind::Ident && !EXPR_KEYWORDS.contains(&p.text.as_str())
-                        || p.is_punct(")")
-                        || p.is_punct("]")
-                });
-                // `[..]` full-range slices cannot panic.
-                let full_range = next(1).is_some_and(|n| n.is_punct(".."))
-                    && next(2).is_some_and(|n| n.is_punct("]"));
-                if indexable && !full_range {
-                    // Idents and boundedness evidence inside the group.
-                    let mut idents = Vec::new();
-                    let mut bounded = false;
-                    let mut d = 0isize;
-                    let mut q = i;
-                    while q < end {
-                        let u = &cx.toks[cx.code[q]];
-                        if u.kind == TokenKind::Punct {
-                            match u.text.as_str() {
-                                "(" | "[" | "{" => d += 1,
-                                ")" | "]" | "}" => {
-                                    d -= 1;
-                                    if d == 0 {
-                                        break;
-                                    }
-                                }
-                                "%" => bounded = true,
-                                "&" if cx
-                                    .code
-                                    .get(q + 1)
-                                    .is_some_and(|&n| cx.toks[n].kind == TokenKind::Int) =>
-                                {
-                                    bounded = true
-                                }
-                                _ => {}
-                            }
-                        } else if u.kind == TokenKind::Ident
-                            && !EXPR_KEYWORDS.contains(&u.text.as_str())
-                        {
-                            idents.push(u.text.clone());
-                        }
-                        q += 1;
-                    }
-                    body.indexes.push(IndexSite { line: t.line, col: t.col, idents, bounded });
-                }
-            }
-            TokenKind::Punct if CHECK_OPS.contains(&t.text.as_str()) => {
-                // Comparison: collect operand idents on both sides.
-                let mut idents = Vec::new();
-                let mut q = i;
-                while q > start {
-                    let u = &cx.toks[cx.code[q - 1]];
-                    if skipped(q - 1) || !check_continues(u) {
-                        break;
-                    }
-                    if u.kind == TokenKind::Ident && u.text != "as" {
-                        idents.push(u.text.clone());
-                    }
-                    q -= 1;
-                }
-                idents.reverse();
-                let mut q = i + 1;
-                while q < end {
-                    let u = &cx.toks[cx.code[q]];
-                    if skipped(q) || !check_continues(u) {
-                        break;
-                    }
-                    if u.kind == TokenKind::Ident && u.text != "as" {
-                        idents.push(u.text.clone());
-                    }
-                    q += 1;
-                }
-                if !idents.is_empty() {
-                    body.checks.push(CheckSite { line: t.line, idents });
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-
-    // Pass 3: concurrency facts — guard acquisitions, condvar operations,
-    // blocking calls, `let` bindings (guard lifetimes), and `drop` sites.
-    // First map each `{` to its matching `}` so a binding's scope end is
-    // known at bind time.
-    let mut close_of: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    {
-        let mut stack: Vec<usize> = Vec::new();
-        let mut i = start;
-        while i < end {
-            if skipped(i) {
-                i += 1;
-                continue;
-            }
-            let t = &cx.toks[cx.code[i]];
-            if t.is_punct("{") {
-                stack.push(i);
-            } else if t.is_punct("}") {
-                if let Some(open) = stack.pop() {
-                    close_of.insert(open, i);
-                }
-            }
-            i += 1;
-        }
-    }
-    let fn_close = if end < cx.code.len() {
-        let t = &cx.toks[cx.code[end]];
-        (t.line, t.col)
-    } else {
-        cx.toks.last().map_or((u32::MAX, 0), |t| (t.line, t.col))
-    };
-    // Brace-scope stack entries are `(open index, is_loop_body)`; a pending
-    // `loop`/`while`/`for` marks the next `{` as a loop body.
-    let mut cscopes: Vec<(usize, bool)> = Vec::new();
-    let mut pending_loop = false;
-    let mut i = start;
-    while i < end {
-        if skipped(i) {
-            i += 1;
-            continue;
-        }
-        let t = &cx.toks[cx.code[i]];
-        let prev = |n: usize| {
-            i.checked_sub(n)
-                .filter(|&p| p >= start && !skipped(p))
-                .map(|p| &cx.toks[cx.code[p]])
-        };
-        let next = |n: usize| {
-            let p = i + n;
-            if p < end {
-                Some(&cx.toks[cx.code[p]])
-            } else {
-                None
-            }
-        };
-        match t.kind {
-            TokenKind::Punct if t.text == "{" => {
-                cscopes.push((i, pending_loop));
-                pending_loop = false;
-            }
-            TokenKind::Punct if t.text == "}" => {
-                cscopes.pop();
-            }
-            TokenKind::Punct if t.text == ";" => {
-                pending_loop = false;
-            }
-            TokenKind::Ident => match t.text.as_str() {
-                "loop" | "while" | "for" => pending_loop = true,
-                "let" => {
-                    let mut j = i + 1;
-                    if j < end && cx.toks[cx.code[j]].is_ident("mut") {
-                        j += 1;
-                    }
-                    let named = j < end
-                        && cx.toks[cx.code[j]].kind == TokenKind::Ident
-                        && cx.toks[cx.code[j]].text != "_";
-                    if named {
-                        let (bname, bline, bcol) = {
-                            let n = &cx.toks[cx.code[j]];
-                            (n.text.clone(), n.line, n.col)
-                        };
-                        let mut k = j + 1;
-                        // `let x: T = …` — skip the annotation to the `=`.
-                        if k < end && cx.toks[cx.code[k]].is_punct(":") {
-                            k += 1;
-                            let mut depth = 0isize;
-                            while k < end {
-                                let u = &cx.toks[cx.code[k]];
-                                if u.kind == TokenKind::Punct {
-                                    match u.text.as_str() {
-                                        "(" | "[" | "<" => depth += 1,
-                                        "<<" => depth += 2,
-                                        ")" | "]" | ">" => depth -= 1,
-                                        ">>" => depth -= 2,
-                                        "=" | ";" if depth <= 0 => break,
-                                        _ => {}
-                                    }
-                                }
-                                k += 1;
-                            }
-                        }
-                        if k < end && cx.toks[cx.code[k]].is_punct("=") {
-                            // Initializer runs to the `;` at delimiter
-                            // depth 0 (nested statements sit inside `{}`).
-                            let mut m = k + 1;
-                            let mut depth = 0isize;
-                            let mut rhs_idents = Vec::new();
-                            let mut rhs_bounded = false;
-                            while m < end {
-                                let u = &cx.toks[cx.code[m]];
-                                if u.kind == TokenKind::Punct {
-                                    match u.text.as_str() {
-                                        "(" | "[" | "{" => depth += 1,
-                                        ")" | "]" | "}" => depth -= 1,
-                                        ";" if depth <= 0 => break,
-                                        "%" => rhs_bounded = true,
-                                        "&" if m + 1 < end
-                                            && cx.toks[cx.code[m + 1]].kind
-                                                == TokenKind::Int =>
-                                        {
-                                            rhs_bounded = true
-                                        }
-                                        _ => {}
-                                    }
-                                } else if u.kind == TokenKind::Ident
-                                    && !EXPR_KEYWORDS.contains(&u.text.as_str())
-                                {
-                                    rhs_idents.push(u.text.clone());
-                                }
-                                m += 1;
-                            }
-                            let init_end = if m < end {
-                                let u = &cx.toks[cx.code[m]];
-                                (u.line, u.col)
-                            } else {
-                                fn_close
-                            };
-                            let scope_end = cscopes
-                                .last()
-                                .and_then(|&(open, _)| close_of.get(&open))
-                                .map(|&c| {
-                                    let u = &cx.toks[cx.code[c]];
-                                    (u.line, u.col)
-                                })
-                                .unwrap_or(fn_close);
-                            body.binds.push(LetBind {
-                                name: bname,
-                                line: bline,
-                                col: bcol,
-                                init_end_line: init_end.0,
-                                init_end_col: init_end.1,
-                                end_line: scope_end.0,
-                                end_col: scope_end.1,
-                                rhs_idents,
-                                rhs_bounded,
-                            });
-                        }
-                    }
-                }
-                "drop"
-                    if next(1).is_some_and(|n| n.is_punct("("))
-                        && next(2).is_some_and(|n| n.kind == TokenKind::Ident)
-                        && next(3).is_some_and(|n| n.is_punct(")")) =>
+                // Concurrency facts: `drop(x)`, guard acquisitions, condvar
+                // operations and blocking calls.
+                let open_paren = next(1).is_some_and(|n| n.is_punct("("));
+                let zero_arg = open_paren && next(2).is_some_and(|n| n.is_punct(")"));
+                let arg = next(2).filter(|n| n.kind == TokenKind::Ident);
+                if name == "drop"
+                    && open_paren
+                    && arg.is_some()
+                    && next(3).is_some_and(|n| n.is_punct(")"))
                 {
-                    let dropped = next(2).map(|n| n.text.clone()).unwrap_or_default();
-                    body.drops.push((dropped, t.line, t.col));
-                }
-                name => {
-                    let dotted = prev(1).is_some_and(|p| p.is_punct("."));
-                    let open = next(1).is_some_and(|n| n.is_punct("("));
-                    let zero_arg = open && next(2).is_some_and(|n| n.is_punct(")"));
-                    if dotted && open {
-                        if matches!(name, "lock" | "read" | "write") && zero_arg {
-                            body.acquires.push(AcquireSite {
-                                line: t.line,
-                                col: t.col,
-                                method: t.text.clone(),
-                                target: recv_key(cx, i, start),
-                            });
-                        } else if CONDVAR_METHODS.contains(&name) {
-                            let guard_arg = next(2)
-                                .filter(|n| n.kind == TokenKind::Ident)
-                                .map(|n| n.text.clone());
-                            body.condvars.push(CondvarSite {
-                                line: t.line,
-                                col: t.col,
-                                method: t.text.clone(),
-                                target: recv_key(cx, i, start),
-                                guard_arg,
-                                in_loop: cscopes.iter().any(|&(_, l)| l),
-                            });
-                        } else if BLOCKING_METHODS.contains(&name)
-                            || (zero_arg && matches!(name, "join" | "recv" | "flush"))
-                        {
-                            body.blocking.push(BlockingSite {
-                                line: t.line,
-                                col: t.col,
-                                what: format!(".{name}()"),
-                            });
-                        }
-                    } else if prev(1).is_some_and(|p| p.is_punct("::")) && open {
-                        let qual = prev(2).map(|p| p.text.clone()).unwrap_or_default();
-                        let blocking = matches!(
-                            (qual.as_str(), name),
-                            ("thread", "sleep")
-                                | ("TcpStream", "connect")
-                                | ("File", "open" | "create")
-                                | ("fs", _)
-                        );
-                        if blocking {
-                            body.blocking.push(BlockingSite {
-                                line: t.line,
-                                col: t.col,
-                                what: format!("{qual}::{name}"),
-                            });
-                        }
+                    let dropped = arg.map(|n| n.text.clone()).unwrap_or_default();
+                    body.drops.push((dropped, line, col));
+                } else if open_paren && prev(1).is_some_and(|p| p.is_punct(".")) {
+                    if matches!(name, "lock" | "read" | "write") && zero_arg {
+                        let target = recv_key(c, i, start);
+                        body.acquires.push(AcquireSite {
+                            line,
+                            col,
+                            method: name.to_string(),
+                            target,
+                        });
+                    } else if CONDVAR_METHODS.contains(&name) {
+                        body.condvars.push(CondvarSite {
+                            line,
+                            col,
+                            method: name.to_string(),
+                            target: recv_key(c, i, start),
+                            guard_arg: arg.map(|n| n.text.clone()),
+                            in_loop: open.iter().any(|&(_, l)| l),
+                        });
+                    } else if BLOCKING_METHODS.contains(&name)
+                        || (zero_arg && matches!(name, "join" | "recv" | "flush"))
+                    {
+                        body.blocking.push(BlockingSite {
+                            line,
+                            col,
+                            what: format!(".{name}()"),
+                        });
+                    }
+                } else if open_paren && prev(1).is_some_and(|p| p.is_punct("::")) {
+                    let qual = prev(2).map(|p| p.text.as_str()).unwrap_or_default();
+                    let blocking = matches!(
+                        (qual, name),
+                        ("thread", "sleep")
+                            | ("TcpStream", "connect")
+                            | ("File", "open" | "create")
+                            | ("fs", _)
+                    );
+                    if blocking {
+                        body.blocking.push(BlockingSite {
+                            line,
+                            col,
+                            what: format!("{qual}::{name}"),
+                        });
                     }
                 }
+            }
+            TokenKind::Punct => match t.text.as_str() {
+                "(" | "[" | "{" => {
+                    open.push((i, t.text == "{" && pending_loop));
+                    pending_loop &= t.text != "{";
+                    let indexable = t.text == "["
+                        && prev(1).is_some_and(|p| {
+                            p.kind == TokenKind::Ident && !EXPR_KEYWORDS.contains(&p.text.as_str())
+                                || p.is_punct(")")
+                                || p.is_punct("]")
+                        });
+                    // `[..]` full-range slices cannot panic.
+                    let full_range = next(1).is_some_and(|n| n.is_punct(".."))
+                        && next(2).is_some_and(|n| n.is_punct("]"));
+                    if indexable && !full_range {
+                        let (idents, bounded) = operand(c, i + 1, c.close(i).min(end));
+                        body.indexes.push(IndexSite {
+                            line,
+                            col,
+                            idents,
+                            bounded,
+                        });
+                    }
+                }
+                ")" | "]" | "}" => {
+                    open.pop();
+                }
+                ";" => {
+                    pending_loop = false;
+                    if open.is_empty() {
+                        last_semi = Some(i);
+                    }
+                }
+                op if CHECK_OPS.contains(&op) => {
+                    // Comparison: collect operand idents on both sides.
+                    let operand_ident = |u: &&Token| u.kind == TokenKind::Ident && u.text != "as";
+                    let left = (start..i)
+                        .rev()
+                        .map(|q| c.tok(q))
+                        .take_while(|u| check_continues(u));
+                    let mut idents: Vec<String> =
+                        left.filter(operand_ident).map(|u| u.text.clone()).collect();
+                    idents.reverse();
+                    let right = (i + 1..end)
+                        .map(|q| c.tok(q))
+                        .take_while(|u| check_continues(u));
+                    idents.extend(right.filter(operand_ident).map(|u| u.text.clone()));
+                    if !idents.is_empty() {
+                        body.checks.push(CheckSite { line, idents });
+                    }
+                }
+                _ => {}
             },
             _ => {}
         }
         i += 1;
     }
 
-    // Pass 4: value-producing regions — explicit `return …;` statements and
-    // the trailing expression (tokens after the last depth-0 `;`). The
-    // taint pass derives return-value taint from these instead of the
-    // whole body, so internally-sanitized functions stay clean.
-    {
-        let span_of = |s: usize, e: usize| -> Option<RetSpan> {
-            if s >= e {
-                return None;
-            }
-            let mut idents = Vec::new();
-            let mut bounded = false;
-            for q in s..e {
-                if skipped(q) {
-                    continue;
-                }
-                let u = &cx.toks[cx.code[q]];
-                if u.kind == TokenKind::Ident && !EXPR_KEYWORDS.contains(&u.text.as_str()) {
-                    idents.push(u.text.clone());
-                } else if u.kind == TokenKind::Punct {
-                    match u.text.as_str() {
-                        "%" => bounded = true,
-                        "&" if q + 1 < e && cx.toks[cx.code[q + 1]].kind == TokenKind::Int => {
-                            bounded = true
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            let a = &cx.toks[cx.code[s]];
-            let b = &cx.toks[cx.code[e - 1]];
-            Some(RetSpan {
-                start_line: a.line,
-                start_col: a.col,
-                end_line: b.line,
-                end_col: b.col,
-                is_err: a.kind == TokenKind::Ident && a.text == "Err",
-                idents,
-                bounded,
-            })
-        };
-        let mut i = start;
-        let mut depth = 0isize;
-        let mut last_semi: Option<usize> = None;
-        while i < end {
-            if skipped(i) {
-                i += 1;
-                continue;
-            }
-            let t = &cx.toks[cx.code[i]];
-            if t.kind == TokenKind::Punct {
-                match t.text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" if depth == 0 => last_semi = Some(i),
-                    _ => {}
-                }
-            } else if t.is_ident("return") {
-                // Span to the `;` (or enclosing `}`/`,`) ending the value.
-                let mut d = 0isize;
-                let mut q = i + 1;
-                while q < end {
-                    let u = &cx.toks[cx.code[q]];
-                    if u.kind == TokenKind::Punct {
-                        match u.text.as_str() {
-                            "(" | "[" | "{" => d += 1,
-                            ")" | "]" | "}" => {
-                                d -= 1;
-                                if d < 0 {
-                                    break;
-                                }
-                            }
-                            ";" | "," if d <= 0 => break,
-                            _ => {}
-                        }
-                    }
-                    q += 1;
-                }
-                if let Some(span) = span_of(i + 1, q) {
-                    body.rets.push(span);
-                }
-            }
-            i += 1;
+    // Value-producing regions — explicit `return …;` statements, then the
+    // trailing expression (after the last top-level `;`). The taint pass
+    // derives return-value taint from these instead of the whole body, so
+    // internally-sanitized functions stay clean.
+    let trailing = (last_semi.map_or(start, |s| s + 1), end);
+    for (s, e) in returns.into_iter().chain([trailing]) {
+        if s >= e {
+            continue;
         }
-        let trail_start = last_semi.map(|s| s + 1).unwrap_or(start);
-        if let Some(span) = span_of(trail_start, end) {
-            body.rets.push(span);
+        let (mut idents, mut bounded) = (Vec::new(), false);
+        let mut p = s;
+        for (ns, ne) in nested.iter().copied().chain([(e, e)]) {
+            if ns >= p {
+                let (ids, b) = operand(c, p, ns.min(e));
+                idents.extend(ids);
+                bounded |= b;
+            }
+            p = p.max(ne);
+            if p >= e {
+                break;
+            }
         }
+        let ((start_line, start_col), (end_line, end_col)) = (c.pos(s), c.pos(e - 1));
+        let is_err = c.tok(s).is_ident("Err");
+        body.rets.push(RetSpan {
+            start_line,
+            start_col,
+            end_line,
+            end_col,
+            idents,
+            is_err,
+            bounded,
+        });
     }
     body
 }
 
-/// Walks the `.`-chain receiver left of the method-name token at code index
-/// `i` (whose previous token is `.`), erasing balanced `[…]` index
-/// expressions, and returns the dotted key (`"self.inner.queue"`, `"q"`,
-/// `"REGISTRY"`, …). A computed receiver — call result, literal — yields
-/// `""` (the guard is chain-only: it never outlives the statement).
-fn recv_key(cx: &Cursor, i: usize, start: usize) -> String {
+/// The facts of the `let` at code position `i`: a typed local (annotated,
+/// or `let x = Type::ctor(…)`) and, for a named binding, its initializer
+/// extent and enclosing scope — the guard-lifetime skeleton.
+fn let_facts(
+    c: &Code,
+    i: usize,
+    end: usize,
+    open: &[(usize, bool)],
+    fn_close: (u32, u32),
+    body: &mut Body,
+) {
+    let at = |p: usize| (p < end).then(|| c.tok(p));
+    let j = if at(i + 1).is_some_and(|t| t.is_ident("mut")) {
+        i + 2
+    } else {
+        i + 1
+    };
+    let Some(bind) = at(j).filter(|t| t.kind == TokenKind::Ident) else {
+        return;
+    };
+    let annotated = at(j + 1).is_some_and(|t| t.is_punct(":"));
+    // `let x = Type::ctor(…)` — infer the local's type from the
+    // constructor path (covers the ubiquitous `let m = Mlp::new(…)`).
+    let ctor = at(j + 2).filter(|t| {
+        t.kind == TokenKind::Ident && t.text.chars().next().is_some_and(char::is_uppercase)
+    });
+    if let Some(ty) = ctor.filter(|_| {
+        at(j + 1).is_some_and(|t| t.is_punct("=")) && at(j + 3).is_some_and(|t| t.is_punct("::"))
+    }) {
+        body.locals
+            .push((bind.text.clone(), ty.text.clone(), bind.line));
+    }
+    if annotated {
+        if let Some(tail) = type_tail(c, j + 2, end) {
+            body.locals.push((bind.text.clone(), tail, bind.line));
+        }
+    }
+    if bind.text == "_" {
+        return;
+    }
+    // `let x: T = …` — skip the annotation to the `=`.
+    let k = if annotated {
+        c.seek(j + 2, end, true, |t| t.is_punct("=") || t.is_punct(";"))
+    } else {
+        j + 1
+    };
+    if !at(k).is_some_and(|t| t.is_punct("=")) {
+        return;
+    }
+    // The initializer runs to the top-level `;`.
+    let m = c.seek(k + 1, end, false, |t| t.is_punct(";"));
+    let (rhs_idents, rhs_bounded) = operand(c, k + 1, m);
+    let (init_end_line, init_end_col) = if m < end { c.pos(m) } else { fn_close };
+    let scope = open.iter().rev().find(|&&(p, _)| c.tok(p).is_punct("{"));
+    let (end_line, end_col) = scope
+        .map(|&(p, _)| c.close(p))
+        .filter(|&q| q < end)
+        .map_or(fn_close, |q| c.pos(q));
+    body.binds.push(LetBind {
+        name: bind.text.clone(),
+        line: bind.line,
+        col: bind.col,
+        init_end_line,
+        init_end_col,
+        end_line,
+        end_col,
+        rhs_idents,
+        rhs_bounded,
+    });
+}
+
+/// Walks the `.`-chain receiver left of the method-name token at code
+/// position `i` (whose previous token is `.`), erasing balanced `[…]`
+/// index expressions, and returns the dotted key (`"self.inner.queue"`,
+/// `"q"`, `"REGISTRY"`, …). A computed receiver — call result, literal —
+/// yields `""` (the guard is chain-only: it never outlives the statement).
+fn recv_key(c: &Code, i: usize, start: usize) -> String {
     let mut parts: Vec<String> = Vec::new();
     let mut p = i;
-    loop {
-        if p == start || !cx.toks[cx.code[p - 1]].is_punct(".") {
-            break;
-        }
+    while p > start && c.tok(p - 1).is_punct(".") {
         p -= 1; // at the `.`
         if p == start {
             return String::new();
         }
         p -= 1; // component end
-        if cx.toks[cx.code[p]].is_punct("]") {
+        if c.tok(p).is_punct("]") {
             // Erase a balanced `[…]` index expression.
-            let mut d = 0isize;
-            loop {
-                let u = &cx.toks[cx.code[p]];
-                if u.is_punct("]") {
-                    d += 1;
-                } else if u.is_punct("[") {
-                    d -= 1;
-                    if d == 0 {
-                        break;
-                    }
-                }
-                if p == start {
-                    return String::new();
-                }
-                p -= 1;
+            match c.pair[p] {
+                o if o < p && o > start => p = o - 1,
+                _ => return String::new(),
             }
-            if p == start {
-                return String::new();
-            }
-            p -= 1;
         }
-        let u = &cx.toks[cx.code[p]];
-        if u.is_ident("self") {
-            parts.push("self".to_string());
-        } else if u.kind == TokenKind::Ident && !EXPR_KEYWORDS.contains(&u.text.as_str()) {
-            parts.push(u.text.clone());
-        } else {
+        let u = c.tok(p);
+        if u.kind != TokenKind::Ident || EXPR_KEYWORDS.contains(&u.text.as_str()) {
             return String::new();
         }
+        parts.push(u.text.clone());
         if parts.len() > 6 {
             return String::new();
         }
@@ -1941,65 +1586,47 @@ fn recv_key(cx: &Cursor, i: usize, start: usize) -> String {
 
 /// From `from` (a statement's expression start), decides whether the
 /// statement is a pure call chain whose outermost expression is a call, and
-/// returns the code-index of that call's name token.
+/// returns the code position of that call's name token.
 ///
 /// Conservative: any top-level operator other than `.`/`::` aborts; a
 /// top-level `?` means the value is consumed (not discarded); a macro
 /// invocation aborts.
-fn outermost_call(cx: &Cursor, from: usize, end: usize) -> Option<usize> {
-    let mut depth = 0isize;
+fn outermost_call(c: &Code, from: usize, end: usize) -> Option<usize> {
     let mut last_call: Option<usize> = None;
     let mut last_close: Option<usize> = None;
     let mut i = from;
     while i < end {
-        let t = &cx.toks[cx.code[i]];
+        let t = c.tok(i);
         match t.kind {
+            TokenKind::Punct if c.is_open(i) => {
+                // Only a call's argument list may open at the top level:
+                // grouping parens, blocks and arrays mean no bare call.
+                let callee = i
+                    .checked_sub(1)
+                    .is_some_and(|p| c.tok(p).kind == TokenKind::Ident);
+                if !(t.text == "(" && callee) {
+                    return None;
+                }
+                i = c.close(i);
+                last_close = Some(i);
+            }
             TokenKind::Punct => match t.text.as_str() {
-                "(" | "[" | "{" => {
-                    if depth == 0 && t.text == "(" {
-                        // Opening paren of a candidate call?
-                        let prev_is_name = i
-                            .checked_sub(1)
-                            .map(|p| &cx.toks[cx.code[p]])
-                            .is_some_and(|p| p.kind == TokenKind::Ident);
-                        if prev_is_name {
-                            // remember matching close below
-                        } else {
-                            return None; // grouping parens: not a bare call
-                        }
-                    } else if depth == 0 {
-                        return None; // top-level block/array: not a call stmt
-                    }
-                    depth += 1;
-                }
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth == 0 && t.text == ")" {
-                        last_close = Some(i);
-                    }
-                }
-                ";" if depth == 0 => {
-                    // Outermost call only if the statement ends right after
-                    // its closing paren.
+                // Outermost call only if the statement ends right after its
+                // closing paren.
+                ";" => {
                     return match (last_call, last_close) {
-                        (Some(c), Some(cl)) if cl + 1 == i => Some(c),
+                        (Some(call), Some(cl)) if cl + 1 == i => Some(call),
                         _ => None,
                     };
                 }
-                "." | "::" if depth == 0 => {}
-                "?" if depth == 0 => return None, // value consumed
-                _ if depth == 0 => return None,   // operator: value used
-                _ => {}
+                "." | "::" => {}
+                _ => return None, // operator or `?`: the value is used
             },
-            TokenKind::Ident if depth == 0 => {
+            TokenKind::Ident => {
                 if EXPR_KEYWORDS.contains(&t.text.as_str()) {
                     return None;
                 }
-                let nx = if i + 1 < end {
-                    Some(&cx.toks[cx.code[i + 1]])
-                } else {
-                    None
-                };
+                let nx = (i + 1 < end).then(|| c.tok(i + 1));
                 if nx.is_some_and(|n| n.is_punct("!")) {
                     return None; // macro statement
                 }
@@ -2007,28 +1634,20 @@ fn outermost_call(cx: &Cursor, from: usize, end: usize) -> Option<usize> {
                     last_call = Some(i);
                 }
             }
-            _ if depth == 0 && !matches!(t.kind, TokenKind::Ident) => {
-                // Literals etc. at top level: `"x".to_string();` — allow
-                // literal heads of method chains.
-                if !matches!(
-                    t.kind,
-                    TokenKind::Str | TokenKind::RawStr | TokenKind::Int | TokenKind::Float
-                ) {
-                    return None;
-                }
-            }
-            _ => {}
+            // Literal heads of method chains: `"x".to_string();`.
+            TokenKind::Str | TokenKind::RawStr | TokenKind::Int | TokenKind::Float => {}
+            _ => return None,
         }
         i += 1;
     }
     None
 }
 
-/// Recovers the qualifier path and receiver for a call at code-index `i`.
-fn call_context(cx: &Cursor, i: usize, start: usize) -> (Vec<String>, Option<Receiver>) {
-    let tok = |p: usize| &cx.toks[cx.code[p]];
+/// Recovers the qualifier path and receiver for a call at code position `i`.
+fn call_context(c: &Code, i: usize, start: usize) -> (Vec<String>, Option<Receiver>) {
+    let tok = |p: usize| c.tok(p);
     // Method call: preceded by `.`
-    if i >= start + 1 && tok(i - 1).is_punct(".") {
+    if i > start && tok(i - 1).is_punct(".") {
         if i >= start + 2 {
             let r = tok(i - 2);
             if r.kind == TokenKind::Ident {
@@ -2059,9 +1678,9 @@ fn call_context(cx: &Cursor, i: usize, start: usize) -> (Vec<String>, Option<Rec
     (qualifier, None)
 }
 
-/// Classifies the cast at code-index `i` (the `as` token).
-fn classify_cast(cx: &Cursor, i: usize, start: usize, end: usize) -> Option<CastSite> {
-    let tok = |p: usize| &cx.toks[cx.code[p]];
+/// Classifies the cast at code position `i` (the `as` token).
+fn classify_cast(c: &Code, i: usize, start: usize, end: usize) -> Option<CastSite> {
+    let tok = |p: usize| c.tok(p);
     let as_tok = tok(i);
     // Destination: `as u32`, `as f64`, `as usize` — a single ident (paths
     // and pointer casts are not numeric and are skipped).
@@ -2080,22 +1699,27 @@ fn classify_cast(cx: &Cursor, i: usize, start: usize, end: usize) -> Option<Cast
         TokenKind::Ident => {
             // `self.field as T` / `recv.field as T` handled by the caller
             // (needs struct context); mark the ident for lookup.
-            CastSrc::Ty(format!("?ident:{}", ident_cast_context(cx, i, start)))
+            CastSrc::Ty(format!("?ident:{}", ident_cast_context(c, i, start)))
         }
         TokenKind::Punct if p.text == ")" => {
             // `.len() as` / `.count() as` → usize; `(x as T) as U` → T.
-            closing_paren_source(cx, i, start).unwrap_or(CastSrc::Unknown)
+            closing_paren_source(c, i, start).unwrap_or(CastSrc::Unknown)
         }
         _ => CastSrc::Unknown,
     };
-    Some(CastSite { line: as_tok.line, col: as_tok.col, src, dst })
+    Some(CastSite {
+        line: as_tok.line,
+        col: as_tok.col,
+        src,
+        dst,
+    })
 }
 
 /// Builds the lookup key for an identifier cast operand: `name`,
 /// `self.field`, or `other.field` (resolved later against locals, params
 /// and struct fields).
-fn ident_cast_context(cx: &Cursor, i: usize, start: usize) -> String {
-    let tok = |p: usize| &cx.toks[cx.code[p]];
+fn ident_cast_context(c: &Code, i: usize, start: usize) -> String {
+    let tok = |p: usize| c.tok(p);
     let name = tok(i - 1).text.clone();
     if i >= start + 3 && tok(i - 2).is_punct(".") && tok(i - 3).kind == TokenKind::Ident {
         // Only a two-segment chain head (`x.field as`), deeper chains are
@@ -2119,8 +1743,8 @@ fn ident_cast_context(cx: &Cursor, i: usize, start: usize) -> String {
 }
 
 /// Source classification when the cast operand ends in `)`.
-fn closing_paren_source(cx: &Cursor, i: usize, start: usize) -> Option<CastSrc> {
-    let tok = |p: usize| &cx.toks[cx.code[p]];
+fn closing_paren_source(c: &Code, i: usize, start: usize) -> Option<CastSrc> {
+    let tok = |p: usize| c.tok(p);
     // `… . len ( ) as` → usize (same for count).
     if i >= start + 4
         && tok(i - 2).is_punct("(")
@@ -2134,10 +1758,7 @@ fn closing_paren_source(cx: &Cursor, i: usize, start: usize) -> Option<CastSrc> 
         return Some(CastSrc::Unknown);
     }
     // `( x as T ) as` → T.
-    if i >= start + 3
-        && tok(i - 2).kind == TokenKind::Ident
-        && tok(i - 3).is_ident("as")
-    {
+    if i >= start + 3 && tok(i - 2).kind == TokenKind::Ident && tok(i - 3).is_ident("as") {
         return Some(CastSrc::Ty(tok(i - 2).text.clone()));
     }
     Some(CastSrc::Unknown)
@@ -2169,23 +1790,56 @@ fn parse_int_literal(text: &str) -> Option<i128> {
     i128::from_str_radix(&digits[..end], radix).ok()
 }
 
-/// Does an attribute token mark the following item as test-only?
-/// Matches `#[test]` and any `#[cfg(…test…)]` that is not `not(test)`.
+/// Does an outer attribute make its item test-only? `#[test]` does, and so
+/// does a `#[cfg(…)]` whose predicate cannot hold without `test`: `test`
+/// itself, an `all(…)` with such a member, or an `any(…)` whose members all
+/// are. `any(test, …)`, `not(test)` and names that merely contain "test"
+/// mark production code.
 pub fn attr_is_test(text: &str) -> bool {
-    let inner = text
+    let inner: String = text
         .trim_start_matches('#')
         .trim_start_matches('!')
         .trim_start_matches('[')
         .trim_end_matches(']')
-        .trim();
-    if inner == "test" || inner.starts_with("test(") {
-        return true;
+        .chars()
+        .filter(|c| !c.is_whitespace())
+        .collect();
+    inner == "test"
+        || inner.starts_with("test(")
+        || inner
+            .strip_prefix("cfg(")
+            .and_then(|p| p.strip_suffix(')'))
+            .is_some_and(cfg_needs_test)
+}
+
+/// Can the cfg predicate `p` (whitespace removed) hold only with `test` set?
+fn cfg_needs_test(p: &str) -> bool {
+    let Some((op, rest)) = p.split_once('(') else {
+        return p == "test";
+    };
+    let Some(args) = rest.strip_suffix(')') else {
+        return false;
+    };
+    let mut members = Vec::new();
+    let (mut depth, mut from) = (0usize, 0usize);
+    for (i, ch) in args.char_indices() {
+        match ch {
+            '(' => depth += 1,
+            ')' => depth = depth.saturating_sub(1),
+            ',' if depth == 0 => {
+                members.push(&args[from..i]);
+                from = i + 1;
+            }
+            _ => {}
+        }
     }
-    if let Some(rest) = inner.strip_prefix("cfg") {
-        let compact: String = rest.chars().filter(|c| !c.is_whitespace()).collect();
-        return compact.contains("test") && !compact.contains("not(test)");
+    members.push(&args[from..]);
+    members.retain(|m| !m.is_empty());
+    match op {
+        "all" => members.into_iter().any(cfg_needs_test),
+        "any" => !members.is_empty() && members.into_iter().all(cfg_needs_test),
+        _ => false,
     }
-    false
 }
 
 #[cfg(test)]
@@ -2194,7 +1848,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parsed(src: &str) -> ParsedFile {
-        parse(&lex(src).expect("lex"))
+        parse(&Code::new(lex(src).expect("lex")))
     }
 
     #[test]
@@ -2330,6 +1984,26 @@ mod tests {
         assert!(!by_name("lib_fn").is_test);
         assert!(by_name("t").is_test);
         assert!(by_name("helper").is_test);
+    }
+
+    #[test]
+    fn only_cfgs_that_need_test_are_test_only() {
+        for (attr, test_only) in [
+            ("#[test]", true),
+            ("#[cfg(test)]", true),
+            ("#[cfg(all(test, feature = \"fast\"))]", true),
+            ("#[cfg(all(unix, any(test, test)))]", true),
+            ("#[cfg(any(test, feature = \"fast\"))]", false),
+            ("#[cfg(feature = \"latest\")]", false),
+            ("#[cfg(not(test))]", false),
+            ("#[cfg(attest)]", false),
+            ("#[cfg_attr(test, derive(Debug))]", false),
+        ] {
+            assert_eq!(attr_is_test(attr), test_only, "{attr}");
+            let p = parsed(&format!("{attr} fn f() {{ x.unwrap(); }} fn g() {{}}"));
+            assert_eq!(p.fns[0].is_test, test_only, "{attr}");
+            assert!(!p.fns[1].is_test, "{attr}: the next item is production code");
+        }
     }
 
     #[test]

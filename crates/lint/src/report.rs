@@ -4,7 +4,9 @@
 //! carries per-rule counts so successive PRs can diff finding totals.
 
 use crate::rules::{Analysis, Finding, RULES};
+use cmr_obs::json_escape;
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 
 /// Schema version stamped into `LINT_report.json` so downstream diffing
 /// tools can detect format changes. v2 added the concurrency rule ids
@@ -31,21 +33,77 @@ pub fn render_text(findings: &[Finding], files_scanned: usize) -> String {
     out
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// `s` as a JSON string literal.
+pub(crate) fn quoted(s: &str) -> String {
+    format!("\"{}\"", json_escape(s))
+}
+
+/// The layout all four lint artifacts share: nested blocks hold one entry
+/// per line, indented two spaces per level, and each entry is preformatted
+/// inline JSON. The writer places the commas and the closers.
+pub(crate) struct JsonOut {
+    out: String,
+    /// Per open block: its closer, and whether it holds an entry yet.
+    open: Vec<(char, bool)>,
+}
+
+impl JsonOut {
+    /// Starts the top-level object.
+    pub(crate) fn new() -> Self {
+        JsonOut {
+            out: String::from("{"),
+            open: vec![('}', false)],
         }
     }
-    out
+
+    fn entry(&mut self) {
+        if let Some((_, filled)) = self.open.last_mut() {
+            if *filled {
+                self.out.push(',');
+            }
+            *filled = true;
+        }
+        self.out.push('\n');
+        self.out.push_str(&"  ".repeat(self.open.len()));
+    }
+
+    /// An object entry `"key": value`.
+    pub(crate) fn field(&mut self, key: &str, value: impl Display) {
+        self.entry();
+        let _ = write!(self.out, "{}: {value}", quoted(key));
+    }
+
+    /// An array element.
+    pub(crate) fn item(&mut self, value: impl Display) {
+        self.entry();
+        let _ = write!(self.out, "{value}");
+    }
+
+    /// Opens a nested block under `key`: `{` for an object, `[` for an array.
+    pub(crate) fn block(&mut self, key: &str, opener: char) {
+        self.entry();
+        let _ = write!(self.out, "{}: {opener}", quoted(key));
+        self.open
+            .push((if opener == '[' { ']' } else { '}' }, false));
+    }
+
+    /// Closes the innermost open block.
+    pub(crate) fn end(&mut self) {
+        if let Some((closer, _)) = self.open.pop() {
+            self.out.push('\n');
+            self.out.push_str(&"  ".repeat(self.open.len()));
+            self.out.push(closer);
+        }
+    }
+
+    /// Closes every open block and returns the document.
+    pub(crate) fn finish(mut self) -> String {
+        while !self.open.is_empty() {
+            self.end();
+        }
+        self.out.push('\n');
+        self.out
+    }
 }
 
 /// One-line machine-greppable summary of a full analysis: file/finding
@@ -76,34 +134,26 @@ pub fn render_json(findings: &[Finding], files_scanned: usize, elapsed_ms: u64) 
     for f in findings {
         *counts.entry(f.rule).or_insert(0) += 1;
     }
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema_version\": {LINT_SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
-    out.push_str(&format!("  \"elapsed_ms\": {elapsed_ms},\n"));
-    out.push_str(&format!("  \"total_findings\": {},\n", findings.len()));
-    out.push_str("  \"counts\": {\n");
-    let n = counts.len();
-    for (i, (rule, count)) in counts.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\": {}{}\n",
-            escape(rule),
-            count,
-            if i + 1 < n { "," } else { "" }
-        ));
+    let mut w = JsonOut::new();
+    w.field("schema_version", LINT_SCHEMA_VERSION);
+    w.field("files_scanned", files_scanned);
+    w.field("elapsed_ms", elapsed_ms);
+    w.field("total_findings", findings.len());
+    w.block("counts", '{');
+    for (rule, count) in &counts {
+        w.field(rule, count);
     }
-    out.push_str("  },\n  \"findings\": [\n");
-    let m = findings.len();
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}{}\n",
-            escape(&f.file),
+    w.end();
+    w.block("findings", '[');
+    for f in findings {
+        w.item(format_args!(
+            "{{\"file\": {}, \"line\": {}, \"col\": {}, \"rule\": {}, \"message\": {}}}",
+            quoted(&f.file),
             f.line,
             f.col,
-            escape(f.rule),
-            escape(&f.message),
-            if i + 1 < m { "," } else { "" }
+            quoted(f.rule),
+            quoted(&f.message),
         ));
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.finish()
 }

@@ -1,11 +1,11 @@
 //! The repo-specific rule set and the engine that applies it.
 //!
-//! Token-local rules operate on the token stream produced by
-//! [`crate::lexer`], so string literals, comments and doc examples can never
-//! trip them. Interprocedural rules (`panic-path`, `lossy-cast`,
-//! `unused-result`) run on the AST from [`crate::parser`] and the workspace
-//! call graph from [`crate::graph`]. Each finding is anchored to a
-//! `file:line:col` and carries its rule id.
+//! Token-local rules operate on the [`crate::parser::Code`] view of the
+//! lexed file, so string literals, comments and doc examples can never trip
+//! them, and they share the parser's test-only spans. Interprocedural rules
+//! (`panic-path`, `lossy-cast`, `unused-result`) run on the AST from
+//! [`crate::parser`] and the workspace call graph from [`crate::graph`].
+//! Each finding is anchored to a `file:line:col` and carries its rule id.
 //!
 //! Suppression comes in three scopes, all requiring a reason:
 //!
@@ -44,7 +44,7 @@ use crate::graph::{self, BarrierFrom, FieldMap, FileUnit};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::locks;
 use crate::taint;
-use crate::parser::{self, CastSite, CastSrc, FnDef, ParsedFile};
+use crate::parser::{self, CastSite, CastSrc, Code, FnDef, ParsedFile};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
@@ -91,6 +91,11 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A `rule` finding at `file:line:col`.
+    pub(crate) fn new(file: &str, line: u32, col: u32, rule: &'static str, msg: String) -> Self {
+        Finding { file: file.to_string(), line, col, rule, message: msg }
+    }
+
     /// Renders the finding in the canonical `file:line:col [rule] message`
     /// form.
     pub fn render(&self) -> String {
@@ -226,21 +231,32 @@ impl Ledger {
 // Path classification
 // ---------------------------------------------------------------------------
 
-fn has_component(path: &str, comp: &str) -> bool {
-    path.split('/').any(|c| c == comp)
+/// Where a file sits in the workspace, decided once from its path.
+#[derive(Clone, Copy, Debug)]
+pub struct PathKind {
+    /// Test or bench code: a `tests` or `benches` path component.
+    pub test: bool,
+    /// An `examples` path component.
+    pub example: bool,
+    /// A binary: under `src/bin/`, or a `main.rs`.
+    pub bin: bool,
 }
 
-/// Test or bench code: a `tests` or `benches` path component.
-pub(crate) fn is_test_path(path: &str) -> bool {
-    has_component(path, "tests") || has_component(path, "benches")
-}
+impl PathKind {
+    /// Classifies a repo-relative path.
+    pub fn of(path: &str) -> Self {
+        let has = |comp: &str| path.split('/').any(|c| c == comp);
+        PathKind {
+            test: has("tests") || has("benches"),
+            example: has("examples"),
+            bin: path.contains("/src/bin/") || path.ends_with("/main.rs") || path == "src/main.rs",
+        }
+    }
 
-fn is_example_path(path: &str) -> bool {
-    has_component(path, "examples")
-}
-
-fn is_bin_path(path: &str) -> bool {
-    path.contains("/src/bin/") || path.ends_with("/main.rs") || path == "src/main.rs"
+    /// Library code: not test, example or binary code.
+    pub fn lib(self) -> bool {
+        !(self.test || self.example || self.bin)
+    }
 }
 
 fn is_bench_crate(path: &str) -> bool {
@@ -261,63 +277,6 @@ fn env_var_allowed(path: &str) -> bool {
         || path == "crates/obs/src/lib.rs"
         || path == "crates/serve/src/config.rs"
         || is_bench_crate(path)
-}
-
-// ---------------------------------------------------------------------------
-// Test-region detection
-// ---------------------------------------------------------------------------
-
-/// Token-index ranges (inclusive start, exclusive end) covered by test-only
-/// items: a `#[test]`/`#[cfg(test)]` attribute followed by a braced item.
-fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let mut regions = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if let TokenKind::Attr { inner: false } = t.kind {
-            if parser::attr_is_test(&t.text) {
-                // Find the item's opening brace; a `;` first means the item
-                // has no body (e.g. `#[cfg(test)] use …;` / `mod tests;`).
-                let mut j = i + 1;
-                let mut open = None;
-                while j < tokens.len() {
-                    let u = &tokens[j];
-                    if u.is_punct("{") {
-                        open = Some(j);
-                        break;
-                    }
-                    if u.is_punct(";") {
-                        break;
-                    }
-                    j += 1;
-                }
-                if let Some(start) = open {
-                    let mut depth = 0isize;
-                    let mut k = start;
-                    while k < tokens.len() {
-                        if tokens[k].is_punct("{") {
-                            depth += 1;
-                        } else if tokens[k].is_punct("}") {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        k += 1;
-                    }
-                    regions.push((i, (k + 1).min(tokens.len())));
-                    i = k + 1;
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
-    regions
-}
-
-fn in_regions(regions: &[(usize, usize)], idx: usize) -> bool {
-    regions.iter().any(|&(s, e)| idx >= s && idx < e)
 }
 
 // ---------------------------------------------------------------------------
@@ -348,7 +307,7 @@ fn collect_allows(path: &str, tokens: &[Token], findings: &mut Vec<Finding>) -> 
         let Some(directive) = body.strip_prefix("cmr-lint:") else { continue };
         let directive = directive.trim();
         let mut fail = |rule: &'static str, message: String| {
-            findings.push(Finding { file: path.to_string(), line: t.line, col: t.col, rule, message });
+            findings.push(Finding::new(path, t.line, t.col, rule, message));
         };
         // `trust(reason)`: the taint-pass escape hatch — suppresses an
         // `untrusted-length`/`untrusted-index` flow on its line (or the
@@ -422,65 +381,45 @@ const PANIC_MACROS: &[&str] = &["panic", "todo", "unimplemented"];
 /// Banned macros for `no-println-lib`.
 const PRINT_MACROS: &[&str] = &["println", "eprintln", "dbg"];
 
-fn code_tokens(tokens: &[Token]) -> Vec<usize> {
-    (0..tokens.len()).filter(|&i| !tokens[i].is_comment()).collect()
-}
-
 struct FileCtx<'a> {
     path: &'a str,
-    tokens: &'a [Token],
-    /// Indices into `tokens` of non-comment tokens, in order.
-    code: Vec<usize>,
-    regions: Vec<(usize, usize)>,
-    test_file: bool,
-    example: bool,
-    bin: bool,
+    code: &'a Code,
+    kind: PathKind,
 }
 
-impl<'a> FileCtx<'a> {
-    fn exempt_panic(&self, tok_idx: usize) -> bool {
-        self.test_file
-            || self.example
-            || self.bin
-            || in_regions(&self.regions, tok_idx)
+impl FileCtx<'_> {
+    /// Test, example and binary code may panic, and so may test items.
+    fn exempt_panic(&self, p: usize) -> bool {
+        !self.kind.lib() || self.code.in_test(p)
     }
 
-    fn exempt_print(&self, tok_idx: usize) -> bool {
-        self.exempt_panic(tok_idx) || is_bench_crate(self.path)
+    fn exempt_print(&self, p: usize) -> bool {
+        self.exempt_panic(p) || is_bench_crate(self.path)
     }
 
-    fn finding(&self, tok: &Token, rule: &'static str, message: String) -> Finding {
-        Finding { file: self.path.to_string(), line: tok.line, col: tok.col, rule, message }
+    /// The token at `p` with its neighbours.
+    fn at(&self, p: usize) -> (Option<&Token>, &Token, Option<&Token>) {
+        let prev = p.checked_sub(1).map(|q| self.code.tok(q));
+        (prev, self.code.tok(p), self.code.get(p + 1))
     }
 }
 
 fn rule_no_panic_lib(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    for (ci, &i) in ctx.code.iter().enumerate() {
-        if ctx.exempt_panic(i) {
+    for p in 0..ctx.code.len() {
+        let (prev, t, next) = ctx.at(p);
+        if ctx.exempt_panic(p) || t.kind != TokenKind::Ident {
             continue;
         }
-        let t = &ctx.tokens[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let prev = ci.checked_sub(1).map(|p| &ctx.tokens[ctx.code[p]]);
-        let next = ctx.code.get(ci + 1).map(|&n| &ctx.tokens[n]);
         if PANIC_METHODS.contains(&t.text.as_str())
             && prev.is_some_and(|p| p.is_punct("."))
             && next.is_some_and(|n| n.is_punct("("))
         {
-            findings.push(ctx.finding(
-                t,
-                "no-panic-lib",
-                format!(".{}() can panic; return a typed error instead", t.text),
-            ));
+            let msg = format!(".{}() can panic; return a typed error instead", t.text);
+            findings.push(Finding::new(ctx.path, t.line, t.col, "no-panic-lib", msg));
         }
         if PANIC_MACROS.contains(&t.text.as_str()) && next.is_some_and(|n| n.is_punct("!")) {
-            findings.push(ctx.finding(
-                t,
-                "no-panic-lib",
-                format!("{}! in library code; return a typed error instead", t.text),
-            ));
+            let msg = format!("{}! in library code; return a typed error instead", t.text);
+            findings.push(Finding::new(ctx.path, t.line, t.col, "no-panic-lib", msg));
         }
     }
 }
@@ -489,44 +428,36 @@ fn rule_env_centralization(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     if env_var_allowed(ctx.path) {
         return;
     }
-    for (ci, &i) in ctx.code.iter().enumerate() {
-        if ctx.test_file || in_regions(&ctx.regions, i) {
+    for p in 2..ctx.code.len() {
+        let t = ctx.code.tok(p);
+        if ctx.kind.test || ctx.code.in_test(p) || !(t.is_ident("var") || t.is_ident("var_os")) {
             continue;
         }
-        let t = &ctx.tokens[i];
-        if !(t.is_ident("var") || t.is_ident("var_os")) {
-            continue;
-        }
-        let Some(p1) = ci.checked_sub(1).map(|p| &ctx.tokens[ctx.code[p]]) else { continue };
-        let Some(p2) = ci.checked_sub(2).map(|p| &ctx.tokens[ctx.code[p]]) else { continue };
-        if p1.is_punct("::") && p2.is_ident("env") {
-            findings.push(ctx.finding(
-                t,
-                "env-centralization",
-                "env::var outside crates/tensor/src/threading.rs, crates/obs/src/lib.rs, \
-                 crates/serve/src/config.rs and crates/bench; route runtime knobs through \
-                 those modules"
-                    .to_string(),
-            ));
+        if ctx.code.tok(p - 1).is_punct("::") && ctx.code.tok(p - 2).is_ident("env") {
+            let msg = "env::var outside crates/tensor/src/threading.rs, crates/obs/src/lib.rs, \
+                       crates/serve/src/config.rs and crates/bench; route runtime knobs through \
+                       those modules"
+                .to_string();
+            findings.push(Finding::new(ctx.path, t.line, t.col, "env-centralization", msg));
         }
     }
 }
 
 fn rule_no_println_lib(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    for (ci, &i) in ctx.code.iter().enumerate() {
-        if ctx.exempt_print(i) {
+    for p in 0..ctx.code.len() {
+        let (_, t, next) = ctx.at(p);
+        if ctx.exempt_print(p) {
             continue;
         }
-        let t = &ctx.tokens[i];
         if t.kind == TokenKind::Ident
             && PRINT_MACROS.contains(&t.text.as_str())
-            && ctx.code.get(ci + 1).is_some_and(|&n| ctx.tokens[n].is_punct("!"))
+            && next.is_some_and(|n| n.is_punct("!"))
         {
-            findings.push(ctx.finding(
-                t,
-                "no-println-lib",
-                format!("{}! in library code; only crates/bench, binaries and tests may print", t.text),
-            ));
+            let msg = format!(
+                "{}! in library code; only crates/bench, binaries and tests may print",
+                t.text
+            );
+            findings.push(Finding::new(ctx.path, t.line, t.col, "no-println-lib", msg));
         }
     }
 }
@@ -541,27 +472,20 @@ fn float_literal_is_zero(text: &str) -> bool {
 }
 
 fn rule_float_eq(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    for (ci, &i) in ctx.code.iter().enumerate() {
-        if ctx.test_file || ctx.example || in_regions(&ctx.regions, i) {
+    for p in 0..ctx.code.len() {
+        let (prev, t, next) = ctx.at(p);
+        if ctx.kind.test || ctx.kind.example || ctx.code.in_test(p) {
             continue;
         }
-        let t = &ctx.tokens[i];
         if !(t.is_punct("==") || t.is_punct("!=")) {
             continue;
         }
-        let float_at = |cj: Option<usize>| -> Option<&Token> {
-            cj.and_then(|p| ctx.code.get(p))
-                .map(|&n| &ctx.tokens[n])
-                .filter(|tok| tok.kind == TokenKind::Float)
-        };
-        let sides = [float_at(ci.checked_sub(1)), float_at(Some(ci + 1))];
-        let lits: Vec<&Token> = sides.into_iter().flatten().collect();
+        let lits: Vec<&Token> =
+            [prev, next].into_iter().flatten().filter(|tok| tok.kind == TokenKind::Float).collect();
         if !lits.is_empty() && !lits.iter().all(|tok| float_literal_is_zero(&tok.text)) {
-            findings.push(ctx.finding(
-                t,
-                "float-eq",
-                format!("`{}` against a float literal; compare with a tolerance helper", t.text),
-            ));
+            let msg =
+                format!("`{}` against a float literal; compare with a tolerance helper", t.text);
+            findings.push(Finding::new(ctx.path, t.line, t.col, "float-eq", msg));
         }
     }
 }
@@ -697,17 +621,12 @@ fn resolve_cast_src_ty(
     graph::local_type(def, rest, cast.line)
 }
 
-fn rule_lossy_cast(
-    path: &str,
-    parsed: &ParsedFile,
-    fields: &FieldMap,
-    findings: &mut Vec<Finding>,
-) {
-    if is_test_path(path) || is_example_path(path) {
+fn rule_lossy_cast(u: &FileUnit, fields: &FieldMap, findings: &mut Vec<Finding>) {
+    if u.kind.test || u.kind.example {
         return;
     }
-    let krate = graph::crate_of(path);
-    for def in &parsed.fns {
+    let krate = graph::crate_of(u.path);
+    for def in &u.parsed.fns {
         if def.is_test {
             continue;
         }
@@ -715,13 +634,8 @@ fn rule_lossy_cast(
         for cast in &body.casts {
             let src_ty = resolve_cast_src_ty(cast, def, &krate, fields);
             if let Some(why) = cast_lossiness(&cast.src, src_ty.as_deref(), &cast.dst) {
-                findings.push(Finding {
-                    file: path.to_string(),
-                    line: cast.line,
-                    col: cast.col,
-                    rule: "lossy-cast",
-                    message: format!("{why}; prove the range or carry a reasoned allow"),
-                });
+                let message = format!("{why}; prove the range or carry a reasoned allow");
+                findings.push(Finding::new(u.path, cast.line, cast.col, "lossy-cast", message));
             }
         }
     }
@@ -739,96 +653,58 @@ fn normalize(name: &str) -> String {
 }
 
 /// Extracts the variant names (with positions) of `pub enum Op { … }`.
-fn op_variants(tokens: &[Token]) -> Vec<(String, u32, u32)> {
-    let code = code_tokens(tokens);
+fn op_variants(code: &Code) -> Vec<(String, u32, u32)> {
     let mut variants = Vec::new();
-    let mut ci = 0usize;
-    // Find `enum Op {`.
-    let mut body_start = None;
-    while ci + 2 < code.len() {
-        if tokens[code[ci]].is_ident("enum")
-            && tokens[code[ci + 1]].is_ident("Op")
-            && tokens[code[ci + 2]].is_punct("{")
-        {
-            body_start = Some(ci + 3);
-            break;
+    let enum_op = (2..code.len()).find(|&p| {
+        let at = |q: usize| code.tok(q);
+        at(p - 2).is_ident("enum") && at(p - 1).is_ident("Op") && at(p).is_punct("{")
+    });
+    let Some(open) = enum_op else { return variants };
+    // Variants sit at the top level of the body, right after `{` or `,`;
+    // groups are hopped whole, and attrs don't affect position.
+    let mut prev = "{";
+    let mut p = open + 1;
+    while p < code.close(open) {
+        let t = code.tok(p);
+        if !matches!(t.kind, TokenKind::Attr { .. }) {
+            if t.kind == TokenKind::Ident
+                && t.text.chars().next().is_some_and(char::is_uppercase)
+                && matches!(prev, "{" | ",")
+            {
+                variants.push((t.text.clone(), t.line, t.col));
+            }
+            if code.is_open(p) {
+                p = code.close(p);
+            }
+            prev = code.get(p).map_or("", |u| u.text.as_str());
         }
-        ci += 1;
-    }
-    let Some(start) = body_start else { return variants };
-    let mut brace = 1isize;
-    let mut paren = 0isize;
-    let mut prev_sig: Option<String> = Some("{".to_string());
-    for &idx in &code[start..] {
-        let t = &tokens[idx];
-        match t.kind {
-            TokenKind::Punct => match t.text.as_str() {
-                "{" => brace += 1,
-                "}" => {
-                    brace -= 1;
-                    if brace == 0 {
-                        break;
-                    }
-                }
-                "(" => paren += 1,
-                ")" => paren -= 1,
-                _ => {}
-            },
-            TokenKind::Attr { .. } => continue, // attrs don't affect position
-            _ => {}
-        }
-        if brace == 1
-            && paren == 0
-            && t.kind == TokenKind::Ident
-            && t.text.chars().next().is_some_and(char::is_uppercase)
-            && matches!(prev_sig.as_deref(), Some("{" | ","))
-        {
-            variants.push((t.text.clone(), t.line, t.col));
-        }
-        prev_sig = Some(t.text.clone());
+        p += 1;
     }
     variants
 }
 
-/// Identifiers appearing inside the test regions of `check.rs`, normalised.
-fn check_coverage_idents(tokens: &[Token]) -> (Vec<String>, bool) {
-    let regions = test_regions(tokens);
-    let mut idents = Vec::new();
-    let mut has_grad_check = false;
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind == TokenKind::Ident && in_regions(&regions, i) {
-            if t.text == "grad_check" {
-                has_grad_check = true;
-            }
-            idents.push(normalize(&t.text));
-        }
-    }
-    (idents, has_grad_check)
+/// Identifiers appearing inside the test items of `check.rs`, normalised.
+fn check_coverage_idents(code: &Code) -> (Vec<String>, bool) {
+    let idents: Vec<&str> = (0..code.len())
+        .filter(|&p| code.in_test(p))
+        .map(|p| code.tok(p))
+        .filter(|t| t.kind == TokenKind::Ident)
+        .map(|t| t.text.as_str())
+        .collect();
+    (idents.iter().map(|t| normalize(t)).collect(), idents.contains(&"grad_check"))
 }
 
-/// Runs R1 given the two relevant token streams. Findings anchor at the
-/// variant declaration in `op.rs`, so an inline allow there suppresses them.
-fn rule_op_coverage(
-    op_tokens: &[Token],
-    check_tokens: Option<&[Token]>,
-    findings: &mut Vec<Finding>,
-) {
-    let variants = op_variants(op_tokens);
-    let (covered, has_grad_check) =
-        check_tokens.map(check_coverage_idents).unwrap_or_default();
-    for (name, line, col) in variants {
-        let ok = has_grad_check && covered.contains(&normalize(&name));
-        if !ok {
-            findings.push(Finding {
-                file: OP_PATH.to_string(),
-                line,
-                col,
-                rule: "op-coverage",
-                message: format!(
-                    "Op::{name} has no grad_check coverage in {CHECK_PATH}; \
-                     add a finite-difference test or an inline allow with a reason"
-                ),
-            });
+/// Runs R1 given the two relevant files. Findings anchor at the variant
+/// declaration in `op.rs`, so an inline allow there suppresses them.
+fn rule_op_coverage(op: &Code, check: Option<&Code>, findings: &mut Vec<Finding>) {
+    let (covered, has_grad_check) = check.map(check_coverage_idents).unwrap_or_default();
+    for (name, line, col) in op_variants(op) {
+        if !(has_grad_check && covered.contains(&normalize(&name))) {
+            let message = format!(
+                "Op::{name} has no grad_check coverage in {CHECK_PATH}; \
+                 add a finite-difference test or an inline allow with a reason"
+            );
+            findings.push(Finding::new(OP_PATH, line, col, "op-coverage", message));
         }
     }
 }
@@ -874,7 +750,7 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
 /// file like any other finding.
 pub fn analyze(files: &[SourceFile]) -> Analysis {
     let mut findings = Vec::new();
-    let mut tokens_by_file: Vec<Option<Vec<Token>>> = Vec::with_capacity(files.len());
+    let mut codes: Vec<Option<Code>> = Vec::with_capacity(files.len());
     let mut ledger = Ledger::default();
 
     // ---- lex + allows + token rules ----
@@ -882,52 +758,32 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
         let tokens = match lex(&file.src) {
             Ok(t) => t,
             Err(e) => {
-                findings.push(Finding {
-                    file: file.path.clone(),
-                    line: e.line,
-                    col: e.col,
-                    rule: "lex-error",
-                    message: e.message,
-                });
-                tokens_by_file.push(None);
+                findings.push(Finding::new(&file.path, e.line, e.col, "lex-error", e.message));
+                codes.push(None);
                 continue;
             }
         };
         let mut raw = Vec::new();
         ledger.add_file(&file.path, &tokens, &mut raw);
-        let ctx = FileCtx {
-            path: &file.path,
-            code: code_tokens(&tokens),
-            regions: test_regions(&tokens),
-            test_file: is_test_path(&file.path),
-            example: is_example_path(&file.path),
-            bin: is_bin_path(&file.path),
-            tokens: &tokens,
-        };
+        let code = Code::new(tokens);
+        let ctx = FileCtx { path: &file.path, code: &code, kind: PathKind::of(&file.path) };
         rule_no_panic_lib(&ctx, &mut raw);
         rule_env_centralization(&ctx, &mut raw);
         rule_no_println_lib(&ctx, &mut raw);
         rule_float_eq(&ctx, &mut raw);
         findings.extend(raw.into_iter().filter(|f| !ledger.suppress(f)));
-        tokens_by_file.push(Some(tokens));
+        codes.push(Some(code));
     }
 
     // ---- parse + call graph + panic propagation ----
-    let parsed_by_file: Vec<Option<ParsedFile>> = tokens_by_file
-        .iter()
-        .map(|t| t.as_ref().map(|toks| parser::parse(toks)))
-        .collect();
+    let parsed: Vec<Option<ParsedFile>> =
+        codes.iter().map(|c| c.as_ref().map(parser::parse)).collect();
     let units: Vec<FileUnit> = files
         .iter()
-        .zip(parsed_by_file.iter())
+        .zip(&parsed)
         .filter_map(|(file, parsed)| {
-            parsed.as_ref().map(|p| FileUnit {
-                path: &file.path,
-                parsed: p,
-                in_lib: !is_test_path(&file.path)
-                    && !is_example_path(&file.path)
-                    && !is_bin_path(&file.path),
-            })
+            let kind = PathKind::of(&file.path);
+            parsed.as_ref().map(|parsed| FileUnit { path: &file.path, parsed, kind })
         })
         .collect();
     let g = graph::build(&units, &ledger);
@@ -935,7 +791,7 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
     // ---- lossy-cast ----
     for u in &units {
         let mut raw = Vec::new();
-        rule_lossy_cast(u.path, u.parsed, &g.fields, &mut raw);
+        rule_lossy_cast(u, &g.fields, &mut raw);
         findings.extend(raw.into_iter().filter(|f| !ledger.suppress(f)));
     }
 
@@ -947,44 +803,34 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
             && node.barrier.is_none()
             && g.panic[i].is_some()
         {
-            findings.push(Finding {
-                file: node.file.clone(),
-                line: node.line,
-                col: node.col,
-                rule: "panic-path",
-                message: format!("pub fn can reach a panic: {}", g.chain(&g.panic, i, false)),
-            });
+            let message = format!("pub fn can reach a panic: {}", g.chain(&g.panic, i, false));
+            findings.push(Finding::new(&node.file, node.line, node.col, "panic-path", message));
         }
     }
 
-    // ---- unused-result findings ----
+    // ---- unused-result findings (tests and examples may discard) ----
     for d in &g.discarded_results {
         let caller = &g.nodes[d.caller];
-        if caller.is_test || is_example_path(&d.file) || is_test_path(&d.file) {
+        if caller.is_test || units[caller.unit].kind.example {
             continue;
         }
-        let f = Finding {
-            file: d.file.clone(),
-            line: d.line,
-            col: d.col,
-            rule: "unused-result",
-            message: format!(
-                "Result of `{}` is discarded; handle the error or carry a reasoned allow",
-                d.callee_name
-            ),
-        };
+        let message = format!(
+            "Result of `{}` is discarded; handle the error or carry a reasoned allow",
+            d.callee_name
+        );
+        let f = Finding::new(&d.file, d.line, d.col, "unused-result", message);
         if !ledger.suppress(&f) {
             findings.push(f);
         }
     }
 
     // ---- op-coverage ----
-    let tokens_of = |path: &str| {
-        files.iter().rposition(|f| f.path == path).and_then(|fi| tokens_by_file[fi].as_deref())
+    let code_of = |path: &str| {
+        files.iter().rposition(|f| f.path == path).and_then(|fi| codes[fi].as_ref())
     };
-    if let Some(op_tokens) = tokens_of(OP_PATH) {
+    if let Some(op) = code_of(OP_PATH) {
         let mut raw = Vec::new();
-        rule_op_coverage(op_tokens, tokens_of(CHECK_PATH), &mut raw);
+        rule_op_coverage(op, code_of(CHECK_PATH), &mut raw);
         findings.extend(raw.into_iter().filter(|f| !ledger.suppress(f)));
     }
 
@@ -1007,16 +853,11 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
             AllowScope::Line => "allow",
             AllowScope::File => "allow-file",
         };
-        findings.push(Finding {
-            file: file.to_string(),
-            line: a.line,
-            col: a.col,
-            rule: "stale-allow",
-            message: format!(
-                "{form}({}) suppresses no findings; delete it or move it to the violation",
-                a.rule
-            ),
-        });
+        let message = format!(
+            "{form}({}) suppresses no findings; delete it or move it to the violation",
+            a.rule
+        );
+        findings.push(Finding::new(file, a.line, a.col, "stale-allow", message));
     }
 
     findings.sort_by(|a, b| {

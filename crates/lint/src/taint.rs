@@ -45,7 +45,8 @@
 // cmr-lint: allow-file(panic-path) node indices are minted by the graph arena; every dereference uses an index the builder issued
 
 use crate::graph::{crate_of, FileUnit, Graph, Node, Witness};
-use crate::parser::{CallSite, FnDef, Receiver};
+use crate::parser::{CallSite, FnDef, LetBind, Receiver};
+use crate::report::{quoted, JsonOut};
 use crate::rules::{AllowScope, Finding, Ledger};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -151,6 +152,26 @@ fn stream_read(c: &CallSite) -> bool {
         && c.args.first().is_some_and(|a| !a.is_empty())
 }
 
+/// The receiver a method call names: `self` or the chain-head ident.
+fn receiver_name(c: &CallSite) -> Option<&str> {
+    match &c.receiver {
+        Some(Receiver::SelfRecv) => Some("self"),
+        Some(Receiver::Ident(x)) => Some(x),
+        _ => None,
+    }
+}
+
+/// A call whose value is trusted whatever its receiver: a [`TRUSTED_METHODS`]
+/// size or flag, or a float payload, which carries no magnitude a
+/// length/index sink could consume (`buf.get_f32_le()`, a `floats(..)`
+/// converter; a cast back to an integer is the lossy-cast rule's business).
+fn value_clean(name: &str) -> bool {
+    TRUSTED_METHODS.contains(&name)
+        || name.contains("f32")
+        || name.contains("f64")
+        || name.contains("float")
+}
+
 /// Display form of a call sink (`Vec::with_capacity(count)`, `.reserve(n)`).
 fn call_desc(c: &CallSite, hit: &[String]) -> String {
     let args = hit.join(", ");
@@ -210,13 +231,6 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
         }
     }
 
-    let recv_tainted = |c: &CallSite, tainted: &BTreeSet<String>| -> bool {
-        match &c.receiver {
-            Some(Receiver::SelfRecv) => tainted.contains("self"),
-            Some(Receiver::Ident(x)) => tainted.contains(x),
-            _ => false,
-        }
-    };
     // Dominating-check evidence: a comparison at or above `line` that
     // mentions `id` clears the value for every later use — the flow-
     // sensitive core of the sanitizer model. Range membership counts:
@@ -234,16 +248,10 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
         if fs_source(c) || env_source(c) {
             return true;
         }
-        if stream_read(c) || TRUSTED_METHODS.contains(&c.name.as_str()) {
+        if stream_read(c) || value_clean(&c.name) {
             return false;
         }
-        // Float payloads carry no magnitude a length/index sink could
-        // consume (`buf.get_f32_le()`, a `floats(..)` converter); a cast
-        // back to an integer is the lossy-cast rule's business.
-        if c.name.contains("f32") || c.name.contains("f64") || c.name.contains("float") {
-            return false;
-        }
-        if recv_tainted(c, tainted) {
+        if receiver_name(c).is_some_and(|r| tainted.contains(r)) {
             return true;
         }
         // Conversions preserve taint (`String::from_utf8(head)`, `Ok(buf)`).
@@ -272,26 +280,15 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
     // consumed is the count of what is actually present, not `v`'s
     // untrusted content, and in `data.push(buf.get_f32_le()?)` the value
     // read off `buf` is a float no length/index sink can consume.
-    let receiver_is = |c: &CallSite, id: &str| match &c.receiver {
-        Some(Receiver::Ident(x)) => x == id,
-        Some(Receiver::SelfRecv) => id == "self",
-        _ => false,
-    };
-    let value_clean = |name: &str| {
-        TRUSTED_METHODS.contains(&name)
-            || name.contains("f32")
-            || name.contains("f64")
-            || name.contains("float")
-    };
     let covered_line = |id: &str, line: u32| {
         body.calls
             .iter()
-            .any(|c| c.line == line && value_clean(&c.name) && receiver_is(c, id))
+            .any(|c| c.line == line && value_clean(&c.name) && receiver_name(c) == Some(id))
     };
     let covered_span = |id: &str, s: (u32, u32), e: (u32, u32)| {
         body.calls
             .iter()
-            .any(|c| in_span(c, s, e) && value_clean(&c.name) && receiver_is(c, id))
+            .any(|c| in_span(c, s, e) && value_clean(&c.name) && receiver_name(c) == Some(id))
     };
     // An ident that appears inside a span only as a call's receiver or
     // argument is judged by `call_tainted` on that call, not by raw ident
@@ -300,8 +297,19 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
     let consumed_by_call = |id: &str, s: (u32, u32), e: (u32, u32)| {
         body.calls.iter().any(|c| {
             in_span(c, s, e)
-                && (receiver_is(c, id) || c.args.iter().flatten().any(|a| a == id))
+                && (receiver_name(c) == Some(id) || c.args.iter().flatten().any(|a| a == id))
         })
+    };
+
+    // `.min(cap)` / `.clamp(lo, hi)` / `& mask` / `%` bound a bind's value:
+    // it is clean even over a tainted rhs.
+    let sanitizing = |b: &LetBind| {
+        let span = ((b.line, b.col), (b.init_end_line, b.init_end_col));
+        b.rhs_bounded
+            || body
+                .calls
+                .iter()
+                .any(|c| in_span(c, span.0, span.1) && SANITIZING.contains(&c.name.as_str()))
     };
 
     // Bounded fixpoint: binds can feed later mutations and vice versa.
@@ -320,29 +328,17 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
             {
                 // A method fed a tainted argument taints its receiver
                 // (`head.extend_from_slice(&tmp[..n])`).
-                match &c.receiver {
-                    Some(Receiver::Ident(r)) => {
-                        sim.tainted.insert(r.clone());
-                    }
-                    Some(Receiver::SelfRecv) => {
-                        sim.tainted.insert("self".to_string());
-                    }
-                    _ => {}
+                if let Some(r) = receiver_name(c) {
+                    sim.tainted.insert(r.to_string());
                 }
             }
         }
         for b in &body.binds {
-            let span = ((b.line, b.col), (b.init_end_line, b.init_end_col));
-            let sanitizing_call = body
-                .calls
-                .iter()
-                .any(|c| in_span(c, span.0, span.1) && SANITIZING.contains(&c.name.as_str()));
-            if b.rhs_bounded || sanitizing_call {
-                // `.min(cap)` / `.clamp(lo, hi)` / `& mask` / `%` bound the
-                // value: the bind is clean even over a tainted rhs.
+            if sanitizing(b) {
                 sim.tainted.remove(&b.name);
                 continue;
             }
+            let span = ((b.line, b.col), (b.init_end_line, b.init_end_col));
             if b.rhs_idents.iter().any(|x| {
                 sim.tainted.contains(x)
                     && !covered_span(x, span.0, span.1)
@@ -362,14 +358,7 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
 
     // Sanitizing binds that actually cleaned a tainted initializer.
     for b in &body.binds {
-        let span = ((b.line, b.col), (b.init_end_line, b.init_end_col));
-        let sanitizing_call = body
-            .calls
-            .iter()
-            .any(|c| in_span(c, span.0, span.1) && SANITIZING.contains(&c.name.as_str()));
-        if (b.rhs_bounded || sanitizing_call)
-            && b.rhs_idents.iter().any(|x| sim.tainted.contains(x))
-        {
+        if sanitizing(b) && b.rhs_idents.iter().any(|x| sim.tainted.contains(x)) {
             sim.cleansed.push((b.line, if b.rhs_bounded { "mask" } else { "clamp" }));
         }
     }
@@ -422,7 +411,7 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
             body.calls.iter().any(|c2| {
                 c2.line == c.line
                     && c2.col != c.col
-                    && (receiver_is(c2, a) || c2.args.iter().flatten().any(|x| x == a))
+                    && (receiver_name(c2) == Some(a) || c2.args.iter().flatten().any(|x| x == a))
             })
         };
         for (k, argids) in c.args.iter().enumerate() {
@@ -442,12 +431,23 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
                 sim.out.push((t, k));
             }
         }
-        if recv_tainted(c, &sim.tainted) {
+        if receiver_name(c).is_some_and(|r| sim.tainted.contains(r)) {
             sim.out.push((t, SELF_POS));
         }
     }
 
-    // Sinks.
+    // Sinks: the tainted idents each sink site consumes, minus those the
+    // site covers.
+    let tainted_at = |ids: &[String], line: u32| {
+        let mut hit: Vec<String> = ids
+            .iter()
+            .filter(|a| sim.tainted.contains(*a) && !covered_line(a, line))
+            .cloned()
+            .collect();
+        hit.dedup();
+        hit
+    };
+    let mut sinks = Vec::new();
     for c in &body.calls {
         let rule = if LEN_SINKS.contains(&c.name.as_str()) {
             "untrusted-length"
@@ -456,55 +456,23 @@ fn simulate(def: &FnDef, node: &Node, entry: &BTreeSet<String>, ret_tainted: &[b
         } else {
             continue;
         };
-        let mut hit: Vec<String> = c
-            .args
-            .iter()
-            .flatten()
-            .filter(|a| sim.tainted.contains(*a) && !covered_line(a, c.line))
-            .cloned()
-            .collect();
-        hit.dedup();
-        if !hit.is_empty() {
-            let desc = call_desc(c, &hit);
-            sim.sinks.push(SinkHit { line: c.line, col: c.col, rule, desc, idents: hit, bounded: false });
-        }
+        let args: Vec<String> = c.args.iter().flatten().cloned().collect();
+        let hit = tainted_at(&args, c.line);
+        sinks.push((c.line, c.col, rule, call_desc(c, &hit), hit, false));
     }
     for v in &body.vec_macros {
-        let mut hit: Vec<String> = v
-            .len_idents
-            .iter()
-            .filter(|a| sim.tainted.contains(*a) && !covered_line(a, v.line))
-            .cloned()
-            .collect();
-        hit.dedup();
-        if !hit.is_empty() {
-            sim.sinks.push(SinkHit {
-                line: v.line,
-                col: v.col,
-                rule: "untrusted-length",
-                desc: format!("vec![…; {}]", hit.join(", ")),
-                idents: hit,
-                bounded: false,
-            });
-        }
+        let hit = tainted_at(&v.len_idents, v.line);
+        let desc = format!("vec![…; {}]", hit.join(", "));
+        sinks.push((v.line, v.col, "untrusted-length", desc, hit, false));
     }
     for ix in &body.indexes {
-        let mut hit: Vec<String> = ix
-            .idents
-            .iter()
-            .filter(|a| sim.tainted.contains(*a) && !covered_line(a, ix.line))
-            .cloned()
-            .collect();
-        hit.dedup();
-        if !hit.is_empty() {
-            sim.sinks.push(SinkHit {
-                line: ix.line,
-                col: ix.col,
-                rule: "untrusted-index",
-                desc: format!("slice index [{}]", hit.join(", ")),
-                idents: hit,
-                bounded: ix.bounded,
-            });
+        let hit = tainted_at(&ix.idents, ix.line);
+        let desc = format!("slice index [{}]", hit.join(", "));
+        sinks.push((ix.line, ix.col, "untrusted-index", desc, hit, ix.bounded));
+    }
+    for (line, col, rule, desc, idents, bounded) in sinks {
+        if !idents.is_empty() {
+            sim.sinks.push(SinkHit { line, col, rule, desc, idents, bounded });
         }
     }
     sim.sinks.sort_by_key(|s| (s.line, s.col));
@@ -666,15 +634,10 @@ pub fn analyze(units: &[FileUnit<'_>], g: &Graph, ledger: &Ledger) -> TaintAnaly
                         } else {
                             "indexes a slice"
                         };
-                        findings.push(Finding {
-                            file: file.clone(),
-                            line: hit.line,
-                            col: hit.col,
-                            rule: hit.rule,
-                            message: format!(
-                                "untrusted value {what} without a dominating bounds check: {witness}"
-                            ),
-                        });
+                        let message = format!(
+                            "untrusted value {what} without a dominating bounds check: {witness}"
+                        );
+                        findings.push(Finding::new(file, hit.line, hit.col, hit.rule, message));
                         ("unsanitized", None)
                     }
                     Some(a) if a.scope == AllowScope::File => ("trusted", None),
@@ -733,20 +696,21 @@ impl TaintAnalysis {
 
     /// Renders the deterministic `TAINTGRAPH.json` artifact.
     pub fn render_json(&self) -> String {
-        let esc = crate::report::escape;
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"schema_version\": {TAINTGRAPH_SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"sources\": {},\n", self.sources.len()));
-        out.push_str(&format!("  \"sinks\": {},\n", self.sinks.len()));
-        out.push_str(&format!("  \"sanitizers\": {},\n", self.sanitizers.len()));
-        out.push_str(&format!("  \"flows\": {},\n", self.flows.len()));
-        out.push_str(&format!("  \"unsanitized_flows\": {},\n", self.unsanitized()));
+        let mut w = JsonOut::new();
+        w.field("schema_version", TAINTGRAPH_SCHEMA_VERSION);
+        w.field("sources", self.sources.len());
+        w.field("sinks", self.sinks.len());
+        w.field("sanitizers", self.sanitizers.len());
+        w.field("flows", self.flows.len());
+        w.field("unsanitized_flows", self.unsanitized());
         // Per-crate rollup: source/sink/sanitizer inventory sizes plus flow
         // and unsanitized-flow counts.
         let mut per: BTreeMap<String, [usize; 5]> = BTreeMap::new();
-        for (slot, items) in
-            [(0usize, &self.sources), (1, &self.sinks), (2, &self.sanitizers)]
-        {
+        for (slot, items) in [
+            (0usize, &self.sources),
+            (1, &self.sinks),
+            (2, &self.sanitizers),
+        ] {
             for it in items {
                 per.entry(crate_of(&it.file)).or_default()[slot] += 1;
             }
@@ -758,54 +722,44 @@ impl TaintAnalysis {
                 e[4] += 1;
             }
         }
-        out.push_str("  \"crates\": {\n");
-        let nc = per.len();
-        for (i, (kr, c)) in per.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{}\": {{\"sources\": {}, \"sinks\": {}, \"sanitizers\": {}, \"flows\": {}, \"unsanitized\": {}}}{}\n",
-                esc(kr), c[0], c[1], c[2], c[3], c[4],
-                if i + 1 < nc { "," } else { "" }
+        w.block("crates", '{');
+        for (kr, c) in &per {
+            w.field(kr, format_args!(
+                "{{\"sources\": {}, \"sinks\": {}, \"sanitizers\": {}, \"flows\": {}, \"unsanitized\": {}}}",
+                c[0], c[1], c[2], c[3], c[4],
             ));
         }
-        out.push_str("  },\n  \"inventory\": {\n");
-        for (w, (key, items)) in [
+        w.end();
+        w.block("inventory", '{');
+        for (key, items) in [
             ("sources", &self.sources),
             ("sinks", &self.sinks),
             ("sanitizers", &self.sanitizers),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            out.push_str(&format!("    \"{key}\": [\n"));
-            let ni = items.len();
-            for (i, it) in items.iter().enumerate() {
-                out.push_str(&format!(
-                    "      {{\"id\": \"{}\", \"kind\": \"{}\", \"file\": \"{}\", \"line\": {}}}{}\n",
-                    esc(&it.id),
-                    esc(&it.kind),
-                    esc(&it.file),
+        ] {
+            w.block(key, '[');
+            for it in items {
+                w.item(format_args!(
+                    "{{\"id\": {}, \"kind\": {}, \"file\": {}, \"line\": {}}}",
+                    quoted(&it.id),
+                    quoted(&it.kind),
+                    quoted(&it.file),
                     it.line,
-                    if i + 1 < ni { "," } else { "" }
                 ));
             }
-            out.push_str(&format!("    ]{}\n", if w < 2 { "," } else { "" }));
+            w.end();
         }
-        out.push_str("  },\n  \"flow_edges\": [\n");
-        let nf = self.flows.len();
-        for (i, f) in self.flows.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"rule\": \"{}\", \"status\": \"{}\", \"site\": \"{}:{}:{}\", \"sink\": \"{}\", \"witness\": \"{}\"}}{}\n",
-                f.rule,
-                f.status,
-                esc(&f.file),
-                f.line,
-                f.col,
-                esc(&f.sink),
-                esc(&f.witness),
-                if i + 1 < nf { "," } else { "" }
+        w.end();
+        w.block("flow_edges", '[');
+        for f in &self.flows {
+            w.item(format_args!(
+                "{{\"rule\": {}, \"status\": {}, \"site\": {}, \"sink\": {}, \"witness\": {}}}",
+                quoted(f.rule),
+                quoted(f.status),
+                quoted(&format!("{}:{}:{}", f.file, f.line, f.col)),
+                quoted(&f.sink),
+                quoted(&f.witness),
             ));
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.finish()
     }
 }

@@ -206,3 +206,19 @@ fn float_eq_against_zero_is_allowed_by_construction() {
     // Only the non-zero comparison (is_half) is flagged.
     assert_eq!(findings[0].line, 16, "{findings:?}");
 }
+
+#[test]
+fn only_cfgs_that_need_test_exempt_their_items() {
+    let src = r#"
+#[cfg(feature = "latest")]
+pub fn a(x: Option<u8>) -> u8 { x.unwrap() }
+#[cfg(any(test, feature = "fast"))]
+pub fn b(x: Option<u8>) -> u8 { x.unwrap() }
+#[cfg(all(test, feature = "fast"))]
+pub fn c(x: Option<u8>) -> u8 { x.unwrap() }
+"#;
+    let findings = run(&[SourceFile { path: "crates/foo/src/lib.rs".into(), src: src.into() }]);
+    let unwraps: Vec<u32> =
+        findings.iter().filter(|f| f.rule == "no-panic-lib").map(|f| f.line).collect();
+    assert_eq!(unwraps, vec![3, 5], "{findings:?}");
+}

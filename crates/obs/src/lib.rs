@@ -35,8 +35,8 @@ mod span;
 
 pub use hist::{HistogramSnapshot, BUCKET_EDGES};
 pub use registry::{
-    counter_add, gauge_set, observe, reset, series_push, snapshot, summary_line, write_artifact,
-    Snapshot,
+    counter_add, gauge_set, json_escape, observe, reset, series_push, snapshot, summary_line,
+    write_artifact, Snapshot,
 };
 pub use span::{span, Span};
 

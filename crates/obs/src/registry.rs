@@ -190,23 +190,23 @@ impl Snapshot {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema_version\": {SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"artifact\": \"{}\",", esc(artifact));
+        let _ = writeln!(out, "  \"artifact\": \"{}\",", json_escape(artifact));
         out.push_str("  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{}\": {value}", esc(name));
+            let _ = write!(out, "{sep}    \"{}\": {value}", json_escape(name));
         }
         out.push_str(if self.counters.is_empty() { "},\n" } else { "\n  },\n" });
         out.push_str("  \"gauges\": {");
         for (i, (name, value)) in self.gauges.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{}\": {}", esc(name), fmt_f64(*value));
+            let _ = write!(out, "{sep}    \"{}\": {}", json_escape(name), fmt_f64(*value));
         }
         out.push_str(if self.gauges.is_empty() { "},\n" } else { "\n  },\n" });
         out.push_str("  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{}\": {{\n", esc(name));
+            let _ = write!(out, "{sep}    \"{}\": {{\n", json_escape(name));
             let _ = writeln!(out, "      \"count\": {},", h.count);
             let _ = writeln!(out, "      \"sum\": {},", fmt_f64(h.sum));
             let _ = writeln!(out, "      \"min\": {},", fmt_f64(h.min));
@@ -220,7 +220,7 @@ impl Snapshot {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "[\"{}\", {n}]", esc(le));
+                let _ = write!(out, "[\"{}\", {n}]", json_escape(le));
             }
             out.push_str("]\n    }");
         }
@@ -228,7 +228,7 @@ impl Snapshot {
         out.push_str("  \"series\": {");
         for (i, (name, rows)) in self.series.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(out, "{sep}    \"{}\": [", esc(name));
+            let _ = write!(out, "{sep}    \"{}\": [", json_escape(name));
             for (j, row) in rows.iter().enumerate() {
                 let sep = if j == 0 { "\n" } else { ",\n" };
                 let _ = write!(out, "{sep}      {{");
@@ -236,7 +236,7 @@ impl Snapshot {
                     if k > 0 {
                         out.push_str(", ");
                     }
-                    let _ = write!(out, "\"{}\": {}", esc(field), fmt_f64(*value));
+                    let _ = write!(out, "\"{}\": {}", json_escape(field), fmt_f64(*value));
                 }
                 out.push('}');
             }
@@ -274,8 +274,11 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping for metric/field names.
-fn esc(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal (the quotes are not
+/// added): quote, backslash, `\n`, `\r` and `\t` get their short escapes and
+/// other control characters `\u00XX`. Every JSON artifact the workspace
+/// writes goes through this one escaper.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
