@@ -1,8 +1,8 @@
 //! Standalone retrieval server.
 //!
 //! Serves synthetic (or blob-loaded) galleries over the `cmr-serve`
-//! protocol until `--duration-s` elapses (0 = forever). The batching knobs
-//! come from the environment (`CMR_SERVE_BATCH`, `CMR_SERVE_WAIT_US`).
+//! protocol until `--duration-s` elapses (0 = forever). The batch ceiling
+//! comes from the environment (`CMR_SERVE_BATCH`).
 //! Setting `CMR_SERVE_SHARDS` above 1 boots that many in-process shard
 //! workers and serves through the scatter-gather router instead
 //! (`CMR_SERVE_DEADLINE_US`, `CMR_SERVE_RETRIES`, `CMR_SERVE_HEDGE_US`
@@ -95,12 +95,11 @@ fn main() {
     };
     let cfg = ServeConfig::from_env();
     println!(
-        "serve: gallery {} dim {} backend {} batch {} wait {:?} shards {}",
+        "serve: gallery {} dim {} backend {} batch {} shards {}",
         args.gallery,
         args.dim,
         if args.ivf_nlist == 0 { "exact".to_string() } else { format!("ivf({})", args.ivf_nlist) },
         cfg.max_batch,
-        cfg.max_wait,
         cfg.shards,
     );
     let (mut server, mut fleet) = if let Some(dir) = &args.index_dir {

@@ -265,11 +265,10 @@ fn is_bench_crate(path: &str) -> bool {
 
 /// Sanctioned `env::var` sites: the `CMR_NUM_THREADS` knob in the
 /// threading module, the `CMR_OBS` knob in the obs crate root, the
-/// serving knobs (`CMR_SERVE_BATCH`, `CMR_SERVE_WAIT_US`, the
-/// scatter-gather knobs `CMR_SERVE_SHARDS`, `CMR_SERVE_DEADLINE_US`,
-/// `CMR_SERVE_RETRIES`, `CMR_SERVE_HEDGE_US`, and the IVF probe-width
-/// knob `CMR_IVF_NPROBE`) in the serve config
-/// module, and the experiment harness. Router/shard/breaker code must
+/// serving knobs (the batch ceiling `CMR_SERVE_BATCH`, the scatter-gather
+/// knobs `CMR_SERVE_SHARDS`, `CMR_SERVE_DEADLINE_US`, `CMR_SERVE_RETRIES`,
+/// `CMR_SERVE_HEDGE_US`, and the IVF probe-width knob `CMR_IVF_NPROBE`) in
+/// the serve config module, and the experiment harness. Router/shard/breaker code must
 /// take its tuning from `ServeConfig`, never from the environment
 /// directly.
 fn env_var_allowed(path: &str) -> bool {

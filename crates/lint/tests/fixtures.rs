@@ -140,9 +140,9 @@ fn obs_knob_module_may_read_env() {
     assert!(rules_of(&elsewhere).contains(&"env-centralization"), "{elsewhere:?}");
 }
 
-/// The serve config module owns the `CMR_SERVE_BATCH` / `CMR_SERVE_WAIT_US`
-/// knobs, so its `env::var` read is registered with the rule; the rest of
-/// the serve crate still counts.
+/// The serve config module owns the `CMR_SERVE_BATCH` knob, so its
+/// `env::var` read is registered with the rule; the rest of the serve
+/// crate still counts.
 #[test]
 fn serve_config_module_may_read_env() {
     let findings = lint_as("crates/serve/src/config.rs", "violations.rs");
@@ -153,7 +153,7 @@ fn serve_config_module_may_read_env() {
 
 /// The four scatter-gather knobs (`CMR_SERVE_SHARDS`,
 /// `CMR_SERVE_DEADLINE_US`, `CMR_SERVE_RETRIES`, `CMR_SERVE_HEDGE_US`)
-/// are registered at the same sanctioned site as the batching knobs: the
+/// are registered at the same sanctioned site as the batching knob: the
 /// serve config module. Reading them from the router (or anywhere else in
 /// the serve crate) is a finding per knob.
 #[test]

@@ -2,12 +2,12 @@
 //! into micro-batches for the ranking kernel.
 //!
 //! Connection threads [`submit`](Batcher::submit) one job each and block on
-//! a private channel. Worker threads drain the queue with a two-phase
-//! wait: sleep until *any* job arrives, then linger up to the configured
-//! coalescing window (`CMR_SERVE_WAIT_US`) for company, dispatching early
-//! the moment `CMR_SERVE_BATCH` jobs are queued. A batch holds only jobs
-//! that share `(direction, k)` — those are the axes the kernel batches
-//! over — so mixed traffic splits into per-shape batches.
+//! a private channel. The queue is self-clocking: a worker sleeps until
+//! *any* job is queued, then takes up to `CMR_SERVE_BATCH` queued jobs that
+//! share `(direction, k)` — the axes the kernel batches over — and
+//! dispatches them at once. It never waits on a timer for company, so a
+//! lone query goes straight to the kernel and batches grow only when jobs
+//! pile up behind a busy worker.
 //!
 //! Because the engine's batch path is bit-identical to its single-query
 //! path (see [`crate::engine`]), coalescing is invisible in the response
@@ -19,14 +19,15 @@
 //! executing until the queue is empty — no accepted job is ever dropped
 //! or answered twice.
 
+use crate::config::ServeConfig;
 use crate::engine::{render_hits, Direction, Engine};
 use crate::error::ServeError;
 use cmr_retrieval::{Embeddings, SearchError};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One queued query plus the channel its rendered response (or the typed
 /// search error the HTTP layer maps to a status) goes back on.
@@ -43,7 +44,7 @@ struct Inner {
     cv: Condvar,
     shutting_down: AtomicBool,
     max_batch: usize,
-    max_wait: Duration,
+    batches: AtomicU64, // dispatched so far; the unit tests read it
 }
 
 impl Inner {
@@ -59,15 +60,17 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Spawns `workers` batch workers draining into `engine`.
-    pub fn new(engine: Arc<Engine>, max_batch: usize, max_wait: Duration, workers: usize) -> Self {
+    /// Spawns `workers` batch workers draining into `engine`. `max_wait` is
+    /// ignored (the queue never lingers); it is kept only for the call in
+    /// `perfbench/src/layers.rs`, until that uses [`from_config`](Self::from_config).
+    pub fn new(engine: Arc<Engine>, max_batch: usize, _max_wait: Duration, workers: usize) -> Self {
         let inner = Arc::new(Inner {
             engine,
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             max_batch: max_batch.max(1),
-            max_wait,
+            batches: AtomicU64::new(0),
         });
         let handles = (0..workers.max(1))
             .map(|_| {
@@ -76,6 +79,12 @@ impl Batcher {
             })
             .collect();
         Batcher { inner, workers: Mutex::new(handles) }
+    }
+
+    /// Spawns `cfg.workers` batch workers draining into `engine`, each
+    /// dispatching at most `cfg.max_batch` jobs at once.
+    pub fn from_config(engine: Arc<Engine>, cfg: &ServeConfig) -> Self {
+        Self::new(engine, cfg.max_batch, Duration::ZERO, cfg.workers)
     }
 
     /// Enqueues one query; the returned receiver yields the rendered
@@ -129,7 +138,7 @@ impl Batcher {
         self.inner.cv.notify_all();
         // Take the handles out under the lock, join outside it: joining
         // while holding `workers` would block any concurrent shutdown (and
-        // Drop runs this path) on threads that can take max_wait to exit.
+        // Drop runs this path) on threads still draining the queue.
         let handles: Vec<JoinHandle<()>> = {
             let mut workers = self.workers.lock().unwrap_or_else(|p| p.into_inner());
             workers.drain(..).collect()
@@ -146,39 +155,18 @@ impl Drop for Batcher {
     }
 }
 
-/// One worker: wait for a first job, linger for company, execute the
-/// batch. Exits when shutdown is flagged *and* the queue is empty.
+/// One worker: wait for a first job, take its queued shape-mates, execute
+/// the batch. Exits when shutdown is flagged *and* the queue is empty.
 // cmr-lint: allow(panic-path) the q[i] probe is guarded by `i < q.len()` in its loop condition
 fn worker_loop(inner: &Inner) {
     loop {
         let mut q = inner.lock_queue();
-        // Phase 1: sleep until any job exists (or drain completes).
-        loop {
-            if !q.is_empty() {
-                break;
-            }
+        // Sleep until any job exists (or the drain completes).
+        while q.is_empty() {
             if inner.shutting_down.load(Ordering::SeqCst) {
                 return;
             }
             q = inner.cv.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
-        // Phase 2: linger up to max_wait for the batch to fill. During
-        // shutdown there is no point waiting for company that can no
-        // longer arrive.
-        let deadline = Instant::now() + inner.max_wait;
-        while q.len() < inner.max_batch && !inner.shutting_down.load(Ordering::SeqCst) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = inner
-                .cv
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(|p| p.into_inner());
-            q = guard;
-            if q.is_empty() {
-                break; // another worker took the jobs this one lingered for
-            }
         }
         let Some(first) = q.pop_front() else {
             continue;
@@ -208,6 +196,7 @@ fn worker_loop(inner: &Inner) {
             // cmr-lint: allow(condvar-discipline) woken worker re-checks the queue under the mutex; guard deliberately dropped before the handoff
             inner.cv.notify_one();
         }
+        inner.batches.fetch_add(1, Ordering::Relaxed);
         execute_batch(&inner.engine, batch);
     }
 }
@@ -257,20 +246,22 @@ mod tests {
     }
 
     #[test]
-    fn single_submit_round_trips() {
+    fn a_lone_submit_round_trips_without_waiting_for_company() {
         let e = engine(1);
         let reference =
             render_hits(&e.search_one(Direction::ImToRec, &[1.0, 0.0, 0.0, 0.0], 3).unwrap());
-        let b = Batcher::new(e, 4, Duration::from_micros(200), 1);
+        // A 5 s max_wait and an unreachable batch ceiling: a queue that
+        // lingered for company would hold this job for the whole 5 s.
+        let b = Batcher::new(e, 64, Duration::from_secs(5), 1);
         let rx = b.submit(Direction::ImToRec, 3, vec![1.0, 0.0, 0.0, 0.0]).unwrap();
-        assert_eq!(rx.recv().unwrap().unwrap(), reference);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(2)), Ok(Ok(reference)), "waited on a timer");
         b.shutdown();
     }
 
     #[test]
     fn concurrent_submits_all_answer_identically_to_reference() {
         let e = engine(2);
-        let b = Arc::new(Batcher::new(Arc::clone(&e), 8, Duration::from_millis(5), 2));
+        let b = Arc::new(Batcher::new(Arc::clone(&e), 8, Duration::ZERO, 2));
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         let queries: Vec<Vec<f32>> = (0..24)
             .map(|_| (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
@@ -297,7 +288,7 @@ mod tests {
     fn mixed_shapes_are_never_batched_together() {
         // Different k values must still each get correct (k-length) answers.
         let e = engine(4);
-        let b = Arc::new(Batcher::new(Arc::clone(&e), 16, Duration::from_millis(5), 1));
+        let b = Arc::new(Batcher::new(Arc::clone(&e), 16, Duration::ZERO, 1));
         let handles: Vec<_> = (1..=6)
             .map(|k| {
                 let b = Arc::clone(&b);
@@ -317,18 +308,45 @@ mod tests {
         b.shutdown();
     }
 
+    type Rx = mpsc::Receiver<Result<String, SearchError>>;
+
+    /// Queues `n` identical jobs, then runs `then`, under one hold of the
+    /// queue lock: no worker sees any of the jobs before all are queued.
+    fn enqueue_unseen(b: &Batcher, n: usize, then: impl FnOnce()) -> Vec<Rx> {
+        let mut q = b.inner.lock_queue();
+        let mut rxs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (resp, rx) = mpsc::channel();
+            let query = vec![1.0, 0.0, 0.0, 0.0];
+            q.push_back(Job { direction: Direction::ImToRec, k: 2, query, resp });
+            rxs.push(rx);
+        }
+        then();
+        b.inner.cv.notify_one();
+        rxs
+    }
+
+    fn all_answered(rxs: &[Rx]) -> bool {
+        rxs.iter().all(|rx| matches!(rx.recv_timeout(Duration::from_secs(5)), Ok(Ok(_))))
+    }
+
+    #[test]
+    fn jobs_queued_behind_a_busy_worker_leave_in_full_batches() {
+        let b = Batcher::new(engine(7), 4, Duration::ZERO, 1);
+        assert!(all_answered(&enqueue_unseen(&b, 10, || {})));
+        let batches = b.inner.batches.load(Ordering::Relaxed);
+        assert_eq!(batches, 3, "10 queued jobs at max_batch 4 leave in ceil(10 / 4) batches");
+        b.shutdown();
+    }
+
     #[test]
     fn shutdown_drains_queued_jobs_then_refuses_new_ones() {
-        let e = engine(5);
-        // Long linger window so jobs are still queued when shutdown starts.
-        let b = Batcher::new(e, 64, Duration::from_secs(5), 1);
-        let rxs: Vec<_> = (0..10)
-            .map(|_| b.submit(Direction::ImToRec, 2, vec![1.0, 0.0, 0.0, 0.0]).unwrap())
-            .collect();
+        let b = Batcher::new(engine(5), 64, Duration::ZERO, 1);
+        // Queue the jobs and flip the flag under one hold of the queue lock,
+        // as shutdown() does: the worker first sees them already draining.
+        let rxs = enqueue_unseen(&b, 10, || b.inner.shutting_down.store(true, Ordering::SeqCst));
         b.shutdown();
-        for rx in rxs {
-            assert!(rx.recv().is_ok(), "queued job dropped during drain");
-        }
+        assert!(all_answered(&rxs), "queued job dropped during drain");
         assert!(matches!(
             b.submit(Direction::ImToRec, 2, vec![1.0, 0.0, 0.0, 0.0]),
             Err(ServeError::ShuttingDown)

@@ -5,7 +5,6 @@
 //! `env-centralization` lint rule:
 //!
 //! * `CMR_SERVE_BATCH` — admission-queue micro-batch ceiling,
-//! * `CMR_SERVE_WAIT_US` — admission-queue coalescing window in µs,
 //! * `CMR_SERVE_SHARDS` — gallery shard count for the scatter-gather tier,
 //! * `CMR_SERVE_DEADLINE_US` — per-shard scatter-gather deadline in µs,
 //! * `CMR_SERVE_RETRIES` — bounded retry budget per shard per query,
@@ -21,8 +20,6 @@ use std::time::Duration;
 
 /// Admission-queue batch ceiling when `CMR_SERVE_BATCH` is unset/invalid.
 pub const DEFAULT_MAX_BATCH: usize = 8;
-/// Coalescing window when `CMR_SERVE_WAIT_US` is unset/invalid.
-pub const DEFAULT_MAX_WAIT_US: u64 = 500;
 /// Shard count when `CMR_SERVE_SHARDS` is unset/invalid (1 = unsharded).
 pub const DEFAULT_SHARDS: usize = 1;
 /// Per-shard deadline when `CMR_SERVE_DEADLINE_US` is unset/invalid.
@@ -40,8 +37,8 @@ pub const DEFAULT_IVF_NPROBE: usize = 8;
 pub struct ServeConfig {
     /// Largest micro-batch the admission queue hands the ranking kernel.
     pub max_batch: usize,
-    /// How long the first queued request waits for company before its batch
-    /// is dispatched anyway.
+    /// Ignored: the admission queue never waits for company. Kept only for
+    /// the `Batcher::new` call in `perfbench/src/layers.rs`.
     pub max_wait: Duration,
     /// Number of batcher worker threads draining the admission queue.
     pub workers: usize,
@@ -78,7 +75,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: DEFAULT_MAX_BATCH,
-            max_wait: Duration::from_micros(DEFAULT_MAX_WAIT_US),
+            max_wait: Duration::ZERO,
             workers: 2,
             read_timeout: Duration::from_millis(2000),
             cache_capacity: 1024,
@@ -107,9 +104,6 @@ impl ServeConfig {
             if batch >= 1 {
                 cfg.max_batch = batch;
             }
-        }
-        if let Some(us) = lookup("CMR_SERVE_WAIT_US").and_then(|v| v.trim().parse::<u64>().ok()) {
-            cfg.max_wait = Duration::from_micros(us);
         }
         if let Some(shards) =
             lookup("CMR_SERVE_SHARDS").and_then(|v| v.trim().parse::<usize>().ok())
@@ -144,9 +138,8 @@ impl ServeConfig {
     }
 
     /// [`from_lookup`](Self::from_lookup) against the process environment:
-    /// reads `CMR_SERVE_BATCH`, `CMR_SERVE_WAIT_US`, `CMR_SERVE_SHARDS`,
-    /// `CMR_SERVE_DEADLINE_US`, `CMR_SERVE_RETRIES`, `CMR_SERVE_HEDGE_US`
-    /// and `CMR_IVF_NPROBE`.
+    /// reads `CMR_SERVE_BATCH`, `CMR_SERVE_SHARDS`, `CMR_SERVE_DEADLINE_US`,
+    /// `CMR_SERVE_RETRIES`, `CMR_SERVE_HEDGE_US` and `CMR_IVF_NPROBE`.
     pub fn from_env() -> Self {
         Self::from_lookup(|name| std::env::var(name).ok())
     }
@@ -160,14 +153,12 @@ mod tests {
     fn defaults_when_unset() {
         let cfg = ServeConfig::from_lookup(|_| None);
         assert_eq!(cfg.max_batch, DEFAULT_MAX_BATCH);
-        assert_eq!(cfg.max_wait, Duration::from_micros(DEFAULT_MAX_WAIT_US));
     }
 
     #[test]
     fn knobs_override_defaults() {
         let cfg = ServeConfig::from_lookup(|name| match name {
             "CMR_SERVE_BATCH" => Some(" 32 ".into()),
-            "CMR_SERVE_WAIT_US" => Some("1500".into()),
             "CMR_SERVE_SHARDS" => Some("4".into()),
             "CMR_SERVE_DEADLINE_US" => Some("90000".into()),
             "CMR_SERVE_RETRIES" => Some("5".into()),
@@ -176,7 +167,6 @@ mod tests {
             _ => None,
         });
         assert_eq!(cfg.max_batch, 32);
-        assert_eq!(cfg.max_wait, Duration::from_micros(1500));
         assert_eq!(cfg.shards, 4);
         assert_eq!(cfg.deadline, Duration::from_micros(90_000));
         assert_eq!(cfg.retries, 5);
@@ -188,7 +178,6 @@ mod tests {
     fn invalid_or_zero_knobs_fall_back() {
         let cfg = ServeConfig::from_lookup(|name| match name {
             "CMR_SERVE_BATCH" => Some("0".into()),
-            "CMR_SERVE_WAIT_US" => Some("soon".into()),
             "CMR_SERVE_SHARDS" => Some("0".into()),
             "CMR_SERVE_DEADLINE_US" => Some("0".into()),
             "CMR_SERVE_RETRIES" => Some("many".into()),
@@ -197,17 +186,11 @@ mod tests {
             _ => None,
         });
         assert_eq!(cfg.max_batch, DEFAULT_MAX_BATCH);
-        assert_eq!(cfg.max_wait, Duration::from_micros(DEFAULT_MAX_WAIT_US));
         assert_eq!(cfg.shards, DEFAULT_SHARDS, "a zero shard count is meaningless");
         assert_eq!(cfg.deadline, Duration::from_micros(DEFAULT_DEADLINE_US));
         assert_eq!(cfg.retries, DEFAULT_RETRIES);
         assert_eq!(cfg.hedge_after, Duration::from_micros(DEFAULT_HEDGE_US));
         assert_eq!(cfg.ivf_nprobe, DEFAULT_IVF_NPROBE, "zero probes can answer nothing");
-        // A zero wait is a legal setting: dispatch immediately.
-        let eager = ServeConfig::from_lookup(|name| {
-            (name == "CMR_SERVE_WAIT_US").then(|| "0".to_string())
-        });
-        assert_eq!(eager.max_wait, Duration::ZERO);
         // Zero retries (first attempt only) and zero hedge (disabled) are legal.
         let lean = ServeConfig::from_lookup(|name| match name {
             "CMR_SERVE_RETRIES" => Some("0".into()),

@@ -7,13 +7,12 @@
 //!
 //! The paper frames retrieval in the cooking context as an interactive,
 //! Recipe1M-scale problem; this crate is the serving half of that claim.
-//! Its throughput lever is the **admission queue** ([`Batcher`]):
-//! concurrently arriving single queries are coalesced into micro-batches
-//! (knobs: `CMR_SERVE_BATCH`, `CMR_SERVE_WAIT_US`) and dispatched to the
-//! batched ranking kernel — which is bit-identical per query to the
-//! single-query path, so batching never changes response bytes. A sharded
-//! LRU cache ([`ShardedCache`]) keyed on the raw query bytes short-circuits
-//! repeats entirely.
+//! Its throughput lever is the **admission queue** ([`Batcher`]): a free
+//! worker takes the queued queries of one shape, up to `CMR_SERVE_BATCH`,
+//! and dispatches them as one micro-batch to the batched ranking kernel —
+//! which is bit-identical per query to the single-query path, so batching
+//! never changes response bytes. A sharded LRU cache ([`ShardedCache`])
+//! keyed on the raw query bytes short-circuits repeats entirely.
 //!
 //! Its availability lever is the **fault-tolerant sharded tier**: a
 //! [`ShardFleet`] partitions the galleries across worker replicas and a

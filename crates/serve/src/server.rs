@@ -121,8 +121,7 @@ impl Server {
     /// Propagates socket bind/configuration failures.
     pub fn start(engine: Engine, cfg: ServeConfig, addr: &str) -> io::Result<Server> {
         let engine = Arc::new(engine);
-        let batcher =
-            Batcher::new(Arc::clone(&engine), cfg.max_batch, cfg.max_wait, cfg.workers);
+        let batcher = Batcher::from_config(Arc::clone(&engine), &cfg);
         Self::start_with(Dispatch::Local { engine, batcher }, cfg, addr)
     }
 

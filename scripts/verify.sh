@@ -47,8 +47,20 @@ gate "benchmark: perfbench type-checks against its lockfile" \
     cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 mkdir -p results
-gate "static analysis: cmr-lint" cargo run -p cmr-lint --release -q -- \
-    --workspace --json results/LINT_report.json --graph results/CALLGRAPH.json
+# cmr-lint's last stdout line is its summary (files scanned, findings,
+# allows, panic-surface, lock-edge/cycle counts); the run closes with it.
+LINT_SUMMARY=""
+check_lint() {
+    local out
+    out=$(cargo run -p cmr-lint --release -q -- \
+        --workspace --json results/LINT_report.json --graph results/CALLGRAPH.json) || {
+        echo "$out"
+        return 1
+    }
+    echo "$out"
+    LINT_SUMMARY=$(tail -1 <<<"$out")
+}
+gate "static analysis: cmr-lint" check_lint
 
 # Concurrency gate: --graph above also emitted results/LOCKGRAPH.json (the
 # workspace lock inventory and acquired-while-held edge list). The artifact
@@ -122,7 +134,7 @@ check_lint_budget() {
 }
 gate "static analysis: lint budget" check_lint_budget
 
-gate "tier 1: workspace tests" cargo test -q
+gate "tier 1: workspace tests" cargo test -q --workspace
 
 gate "robustness: fault-injection suite" cargo test --test fault_injection -q
 
@@ -322,10 +334,8 @@ for t in "${GATE_TIMINGS[@]}"; do
     echo "$t"
 done
 
-# Re-print the lint summary line so the run ends with the health snapshot
-# (files scanned, findings, allows, panic-surface, lock-edge/cycle counts).
-lint_summary=$(cargo run -p cmr-lint --release -q -- --workspace 2>/dev/null | tail -1)
-echo "$lint_summary"
+# The lint gate's summary line, so the run ends with the health snapshot.
+echo "$LINT_SUMMARY"
 
 # One-line obs health snapshot from the freshly written retrieval artifact.
 p50=$(grep -m1 '"p50"' results/OBS_retrieval.json | sed 's/.*: *//; s/,.*//')
@@ -355,6 +365,6 @@ for src in crates/*/src; do
     krate=${src#crates/}
     loc+=" ${krate%/src}=$(find "$src" -name '*.rs' -exec cat {} + | wc -l)"
 done
-echo "loc:${loc} $(grep -o 'allows=[0-9]*' <<<"$lint_summary")"
+echo "loc:${loc} $(grep -o 'allows=[0-9]*' <<<"$LINT_SUMMARY")"
 
 echo "verify: all gates green"

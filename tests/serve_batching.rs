@@ -17,7 +17,7 @@ use cmr_serve::{
 use rand::{Rng, SeedableRng};
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Serializes the tests in this binary (shared process-global obs state).
@@ -71,8 +71,12 @@ const DIM: usize = 16;
 /// Two engines over identical bytes: one serves, one stays as the
 /// single-query reference oracle.
 fn paired_engines(seed: u64) -> (Engine, Engine) {
-    let recipes = gallery(400, DIM, seed);
-    let images = gallery(300, DIM, seed + 1);
+    sized_paired_engines(seed, 400, 300)
+}
+
+fn sized_paired_engines(seed: u64, recipes: usize, images: usize) -> (Engine, Engine) {
+    let recipes = gallery(recipes, DIM, seed);
+    let images = gallery(images, DIM, seed + 1);
     (
         Engine::exact(recipes.clone(), images.clone()).expect("serving engine"),
         Engine::exact(recipes, images).expect("reference engine"),
@@ -116,12 +120,14 @@ fn concurrent_clients_get_reference_identical_responses_and_batches_coalesce() {
     cmr_obs::reset();
     cmr_obs::set_enabled(true);
 
-    let (serving, reference) = paired_engines(11);
-    // A generous coalescing window so concurrent arrivals reliably share
-    // batches; correctness must hold regardless.
+    // The queue is self-clocking: it coalesces the requests that arrive
+    // while the worker is busy. One worker and galleries whose scan outlasts
+    // a loopback round trip keep the other clients' requests queued behind
+    // each batch; correctness must hold regardless.
+    let (serving, reference) = sized_paired_engines(11, 60_000, 45_000);
     let cfg = ServeConfig {
         max_batch: 8,
-        max_wait: Duration::from_millis(4),
+        workers: 1,
         cache_capacity: 0, // no cache: every request must cross the batcher
         ..ServeConfig::default()
     };
@@ -130,11 +136,16 @@ fn concurrent_clients_get_reference_identical_responses_and_batches_coalesce() {
 
     const CLIENTS: usize = 16;
     const PER_CLIENT: usize = 25;
+    // Clients whose requests share a shape move through the sequence in step,
+    // so a common start lets them share batches from the first round on.
+    let start = Arc::new(Barrier::new(CLIENTS));
     let handles: Vec<_> = (0..CLIENTS)
         .map(|id| {
             let addr = addr.clone();
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut client = TestClient::connect(&addr);
+                start.wait();
                 let mut rng = rand::rngs::SmallRng::seed_from_u64(7000 + id as u64);
                 let mut sent = Vec::with_capacity(PER_CLIENT);
                 for i in 0..PER_CLIENT {

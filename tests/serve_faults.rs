@@ -307,15 +307,14 @@ fn readyz_reports_unready_when_most_breakers_are_open_but_healthz_stays_live() {
 
 #[test]
 fn graceful_shutdown_drains_in_flight_requests_without_loss() {
-    // A long coalescing window and an unreachable batch ceiling guarantee
-    // the submitted jobs are still queued when shutdown begins — the drain
-    // path, not the fast path, must answer them.
-    let cfg = ServeConfig {
-        max_batch: 64,
-        max_wait: Duration::from_secs(5),
-        cache_capacity: 0,
-        ..ServeConfig::default()
-    };
+    // Every request sent before shutdown gets its reference answer, and the
+    // listener then refuses new connections. The queue never lingers, so on
+    // this small gallery the requests are usually answered before the plug
+    // is pulled: this pins the end-to-end contract, not the drain of jobs
+    // still queued when the flag flips. The batcher's unit test
+    // `shutdown_drains_queued_jobs_then_refuses_new_ones` pins that drain
+    // deterministically.
+    let cfg = ServeConfig { max_batch: 64, cache_capacity: 0, ..ServeConfig::default() };
     let (mut server, reference, addr) = start_server(cfg, 6);
 
     const IN_FLIGHT: usize = 8;
@@ -339,8 +338,7 @@ fn graceful_shutdown_drains_in_flight_requests_without_loss() {
         })
         .collect();
 
-    // Let every request reach the admission queue, then pull the plug while
-    // all of them are still waiting out the 5s coalescing window.
+    // Let every request reach the server, then pull the plug.
     std::thread::sleep(Duration::from_millis(300));
     server.shutdown();
 
