@@ -15,6 +15,10 @@
 //!     --queries 1000 --probes 1,2,4,8,16,32 --out results
 //! ```
 //!
+//! Every swept query's hits must equal [`IvfIndex::search_reference`]'s
+//! bit for bit (the fused scan against the per-candidate scan it
+//! replaced); the bin exits 1 on the first difference.
+//!
 //! Two auxiliary modes back the `verify.sh` ann gate:
 //!
 //! * `--index-out <path>` additionally saves the quantized index as a
@@ -200,8 +204,16 @@ struct CurvePoint {
     p99_s: f64,
 }
 
+/// `(index, similarity bits)` of each hit: the form in which the fused scan
+/// must equal its reference.
+fn hit_bits(hits: &[Hit]) -> Vec<(usize, u32)> {
+    hits.iter().map(|h| (h.index, h.similarity.to_bits())).collect()
+}
+
 /// Sweeps `probes` over `index`, scoring recall against `oracle` (exact
-/// top-10 per query) and timing every single-query search.
+/// top-10 per query) and timing every single-query search. Outside the
+/// timer, every query's hits are compared bit for bit with
+/// [`IvfIndex::search_reference`]; the process exits 1 on any difference.
 fn sweep(
     index: &IvfIndex,
     queries: &Embeddings,
@@ -220,6 +232,16 @@ fn sweep(
                 .search(queries.vector(qi), 10, nprobe)
                 .expect("benchmark request is valid");
             lat.push(t.elapsed().as_secs_f64());
+            let reference = index
+                .search_reference(queries.vector(qi), 10, nprobe)
+                .expect("benchmark request is valid");
+            if hit_bits(&hits) != hit_bits(&reference) {
+                eprintln!(
+                    "bench_ann: FAIL: nprobe {nprobe} query {qi}: fused scan {hits:?} differs \
+                     from the reference scan {reference:?}"
+                );
+                std::process::exit(1);
+            }
             let exact = &oracle[qi];
             if let (Some(a), Some(b)) = (hits.first(), exact.first()) {
                 if a.index == b.index {
@@ -241,7 +263,8 @@ fn sweep(
             p99_s: cmr_bench::serving::percentile(&lat, 0.99),
         };
         println!(
-            "bench_ann: {} nprobe {:>3}  recall@1 {:.4}  recall@10 {:.4}  p50 {:.2}ms  p99 {:.2}ms",
+            "bench_ann: {} nprobe {:>3}  recall@1 {:.4}  recall@10 {:.4}  p50 {:.2}ms  p99 {:.2}ms  \
+             (= reference bit for bit)",
             if index.is_quantized() { "pq  " } else { "flat" },
             point.nprobe,
             point.recall_at_1,

@@ -5,8 +5,9 @@
 //! being interactive well below that scale. This module adds the standard
 //! inverted-file index: k-means clusters the gallery into `nlist` coarse
 //! cells, a query scans only the `nprobe` nearest cells. It trades a small
-//! recall loss for a large speedup — quantified in `benches/retrieval.rs`
-//! and guarded by a property test comparing against exact search.
+//! recall loss for a large speedup — quantified by `bench_ann` (see
+//! EXPERIMENTS.md) and guarded by a property test comparing against exact
+//! search.
 //!
 //! Two cell layouts share one search path:
 //!
@@ -17,6 +18,13 @@
 //!   a flat index with [`IvfIndex::quantize_residuals`]; million-row
 //!   galleries drop from `4·dim` to `m` bytes per vector.
 //!
+//! The fine scan is fused: each candidate's score goes straight into a
+//! streaming top-`k` selector, and PQ cells are scored four codes per step
+//! through an ADC table padded to 256 entries per subspace. The
+//! per-candidate scan it replaced is kept as
+//! [`IvfIndex::search_reference`], the oracle the fused path is proven
+//! bit-identical to.
+//!
 //! Search is fallible ([`SearchError`]) rather than asserting: since PR 10
 //! indexes can arrive from disk (`CMRIVF1`, see [`crate::store`]), so a
 //! zero `k`/`nprobe`, a wrong-dimension query or an empty index are
@@ -24,8 +32,8 @@
 //! library panics.
 
 use crate::embeddings::Embeddings;
-use crate::knn::{top_k, top_k_of, Hit};
-use crate::pq::{PqError, ProductQuantizer, TrainStats};
+use crate::knn::{top_k, top_k_of, Hit, TopK};
+use crate::pq::{lut_score, lut_score4, PqError, ProductQuantizer, TrainStats};
 use cmr_tensor::matmul::matmul_transb_into;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -353,10 +361,11 @@ impl IvfIndex {
     ///
     /// Per-query results are **bit-identical** to calling
     /// [`search`](Self::search) on each query alone: every similarity is
-    /// accumulated in the same order and probe/hit selection goes through
-    /// the same [`top_k_of`] core — the `kernel_equivalence` suite locks
-    /// this down. Queries must be L2-normalised; the same sub-`k` result
-    /// caveats as [`search`](Self::search) apply per query.
+    /// accumulated in the same order, probes are selected by the same
+    /// [`top_k_of`] core, and each query's cells go through the same fused
+    /// scan — the `kernel_equivalence` suite locks this down. Queries must
+    /// be L2-normalised; the same sub-`k` result caveats as
+    /// [`search`](Self::search) apply per query.
     ///
     /// # Errors
     /// Same conditions as [`search`](Self::search) (the dimension check is
@@ -401,11 +410,14 @@ impl IvfIndex {
     }
 
     /// The shared fine-scan stage of [`search`](Self::search) and
-    /// [`search_batch`](Self::search_batch): gathers the probed cells'
-    /// rows and ranks them against the query. For PQ cells the score is
-    /// the asymmetric estimate `coarse similarity + query·residual` via
-    /// the per-query ADC table.
-    // cmr-lint: allow(panic-path) probe ids come from the index's own centroid list; candidate ids are gallery rows; code slices step in fixed m-byte strides within the cell's code vector
+    /// [`search_batch`](Self::search_batch): scores the probed cells' rows
+    /// against the query and streams every score into one top-`k`
+    /// selector under its gallery id. Flat rows score by their exact dot
+    /// product. PQ rows score by the asymmetric estimate `coarse
+    /// similarity + query·residual`, four codes per step through the padded
+    /// ADC table. Every score is the f32
+    /// [`search_reference`](Self::search_reference) computes.
+    // cmr-lint: allow(panic-path) probe ids come from the index's own centroid list
     fn scan_probed_cells(&self, probes: &[Hit], query: &[f32], k: usize) -> Vec<Hit> {
         let n_candidates: usize = probes.iter().map(|p| self.cells[p.index].len()).sum();
         if cmr_obs::enabled() {
@@ -413,39 +425,80 @@ impl IvfIndex {
             cmr_obs::counter_add("retrieval.ivf.cells_probed", probes.len() as u64);
             cmr_obs::counter_add("retrieval.ivf.candidates_scanned", n_candidates as u64);
         }
-        if n_candidates == 0 {
-            // Every probed cell was empty (possible when nlist exceeds the
-            // number of occupied cells): an explicit empty result, rather
-            // than leaning on top_k's behaviour over an empty sub-gallery.
-            return Vec::new();
-        }
+        let mut top = TopK::new(k);
         match &self.storage {
             CellStorage::Flat(gallery) => {
+                // Gather, then scan the copy: scoring the scattered rows in
+                // place, whose cache misses overlap less, ran ~1.6x slower
+                // (bench_ann at 1M rows, flat nprobe 1 and 8, 2-vCPU guest).
                 let mut candidates: Vec<usize> = Vec::with_capacity(n_candidates);
                 for p in probes {
                     candidates.extend_from_slice(&self.cells[p.index]);
                 }
-                let sub = gallery.subset(&candidates);
-                top_k(&sub, query, k)
-                    .into_iter()
-                    .map(|h| Hit { index: candidates[h.index], similarity: h.similarity })
-                    .collect()
+                let rows = gallery.subset(&candidates);
+                for (slot, &id) in candidates.iter().enumerate() {
+                    top.push(id, rows.dot(slot, query));
+                }
+            }
+            CellStorage::Pq { pq, codes } => {
+                let lut = pq.adc_lut(query);
+                let m = pq.m();
+                for p in probes {
+                    let ids = self.cells[p.index].chunks_exact(4);
+                    let cell_codes = codes[p.index].chunks_exact(4 * m);
+                    let (id_tail, code_tail) = (ids.remainder(), cell_codes.remainder());
+                    for (id4, code4) in ids.zip(cell_codes) {
+                        for (&id, sim) in id4.iter().zip(lut_score4(&lut, code4)) {
+                            top.push(id, p.similarity + sim);
+                        }
+                    }
+                    for (&id, code) in id_tail.iter().zip(code_tail.chunks_exact(m)) {
+                        top.push(id, p.similarity + lut_score(&lut, code));
+                    }
+                }
+            }
+        }
+        top.into_sorted()
+    }
+
+    /// [`search`](Self::search) through the per-candidate reference scan:
+    /// every probed row is scored on its own (PQ rows through the clamping
+    /// [`ProductQuantizer::adc_score`] over the unpadded table), all
+    /// `(id, score)` pairs are collected, and [`top_k_of`] selects from
+    /// them. It is the oracle the fused scan is held bit-identical to, as
+    /// `cmr-tensor` keeps its `*_serial` kernels; nothing serves through it.
+    ///
+    /// # Errors
+    /// Same conditions as [`search`](Self::search).
+    // cmr-lint: allow(panic-path) probe ids come from the index's own centroid list; code slices step in fixed m-byte strides within the cell's code vector
+    pub fn search_reference(
+        &self,
+        query: &[f32],
+        k: usize,
+        nprobe: usize,
+    ) -> Result<Vec<Hit>, SearchError> {
+        self.validate(query.len(), k, nprobe)?;
+        let probes = top_k(&self.centroids, query, nprobe.min(self.nlist()));
+        let mut scored: Vec<(usize, f32)> = Vec::new();
+        match &self.storage {
+            CellStorage::Flat(gallery) => {
+                for p in &probes {
+                    scored.extend(self.cells[p.index].iter().map(|&id| (id, gallery.dot(id, query))));
+                }
             }
             CellStorage::Pq { pq, codes } => {
                 let table = pq.adc_table(query);
                 let m = pq.m();
-                let mut scored: Vec<(usize, f32)> = Vec::with_capacity(n_candidates);
-                for p in probes {
-                    let ids = &self.cells[p.index];
+                for p in &probes {
                     let cell_codes = &codes[p.index];
-                    for (slot, &id) in ids.iter().enumerate() {
+                    for (slot, &id) in self.cells[p.index].iter().enumerate() {
                         let code = &cell_codes[slot * m..(slot + 1) * m];
                         scored.push((id, p.similarity + pq.adc_score(&table, code)));
                     }
                 }
-                top_k_of(scored.into_iter(), k)
             }
         }
+        Ok(top_k_of(scored.into_iter(), k))
     }
 
     /// [`search`](Self::search) plus a self-check against exhaustive
@@ -547,6 +600,7 @@ fn pick_reseed_row(rng: &mut impl Rng, used: &[bool]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn clustered_gallery(
@@ -762,6 +816,125 @@ mod tests {
         let batched = index.search_batch(&queries, 5, 1).unwrap();
         assert_eq!(batched.len(), 2);
         assert!(batched.iter().all(Vec::is_empty), "{batched:?}");
+    }
+
+    /// Regression: tied flat hits come out by gallery id, as `hit_order`
+    /// requires, not by the order their cells were probed in. Rows 0–2
+    /// are identical; the nearest cell holds row 2, the other rows 0 and 1.
+    #[test]
+    fn flat_ties_break_by_gallery_id_not_probe_order() {
+        let index = IvfIndex {
+            centroids: Embeddings::new(2, vec![0.8, 0.6, 0.0, 1.0]),
+            cells: vec![vec![2], vec![0, 1]],
+            storage: CellStorage::Flat(Embeddings::new(2, vec![0.6, 0.8, 0.6, 0.8, 0.6, 0.8])),
+            n: 3,
+        };
+        let ids: Vec<usize> =
+            index.search(&[0.8, 0.6], 3, 2).unwrap().iter().map(|h| h.index).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        assert_eq!(index.search_reference(&[0.8, 0.6], 3, 2), index.search(&[0.8, 0.6], 3, 2));
+    }
+
+    /// `(index, similarity bits)` of each hit, or the typed error.
+    fn bits(r: Result<Vec<Hit>, SearchError>) -> Result<Vec<(usize, u32)>, SearchError> {
+        r.map(|hits| hits.iter().map(|h| (h.index, h.similarity.to_bits())).collect())
+    }
+
+    /// A hand-built index over `m·sub`-dim rows: 1–6 cells of 0–11 rows
+    /// each (so empty cells and lengths that are not multiples of 4), ids
+    /// shuffled across cells, random coarse centroids. PQ storage gets
+    /// random codebooks and code bytes drawn half from `0..ks` and half
+    /// from the whole byte range (so bytes ≥ `ks` appear whenever
+    /// `ks < 256`). Flat storage draws rows from four distinct vectors, so
+    /// exact ties are common.
+    fn random_index(seed: u64, m: usize, ks: usize, sub: usize, pq: bool) -> IvfIndex {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        let dim = m * sub;
+        let nlist = rng.gen_range(1..=6usize);
+        let lens: Vec<usize> = (0..nlist).map(|_| rng.gen_range(0..=11usize)).collect();
+        let n: usize = lens.iter().sum();
+        let mut ids: Vec<usize> = (0..n).collect();
+        ids.shuffle(&mut rng);
+        let mut rest = &ids[..];
+        let cells: Vec<Vec<usize>> = lens
+            .iter()
+            .map(|&len| {
+                let (cell, tail) = rest.split_at(len);
+                rest = tail;
+                cell.to_vec()
+            })
+            .collect();
+        let mut floats = |count: usize| -> Vec<f32> {
+            (0..count).map(|_| rng.gen_range(-1.0f32..1.0)).collect()
+        };
+        let centroids = Embeddings::new(dim, floats(nlist * dim));
+        let storage = if pq {
+            let books = floats(m * ks * sub);
+            let quantizer = ProductQuantizer::from_parts(dim, m, ks, books).unwrap();
+            let codes = lens
+                .iter()
+                .map(|&len| {
+                    (0..len * m)
+                        .map(|_| {
+                            if rng.gen_range(0..2u8) == 0 {
+                                rng.gen_range(0..ks) as u8
+                            } else {
+                                rng.gen_range(0..=255u8)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            CellStorage::Pq { pq: quantizer, codes }
+        } else {
+            let distinct = floats(4 * dim);
+            let mut rows = Vec::with_capacity(n * dim);
+            for _ in 0..n {
+                let r = rng.gen_range(0..4usize);
+                rows.extend_from_slice(&distinct[r * dim..(r + 1) * dim]);
+            }
+            CellStorage::Flat(Embeddings::new(dim, rows))
+        };
+        IvfIndex { centroids, cells, storage, n }
+    }
+
+    proptest! {
+        /// The fused scan (`search`, `search_batch`) returns exactly the
+        /// reference scan's hits, similarity bits included, for every
+        /// `ks` ∈ {1, 3, 17, 256} × `m` ∈ {1, 2, 3, 8, 16}, for flat cells,
+        /// and for `k` above the candidate count.
+        #[test]
+        fn fused_scan_is_bit_identical_to_the_reference(
+            seed in 0u64..1_000_000, sub in 1usize..3, k in 1usize..40, probe_seed in 0usize..8
+        ) {
+            let mut cases: Vec<(usize, usize, bool)> = vec![(1, 1, false), (4, 1, false)];
+            for ks in [1usize, 3, 17, 256] {
+                for m in [1usize, 2, 3, 8, 16] {
+                    cases.push((m, ks, true));
+                }
+            }
+            for (case, &(m, ks, pq)) in cases.iter().enumerate() {
+                let index = random_index(seed ^ ((case as u64) << 32), m, ks, sub, pq);
+                let nprobe = 1 + probe_seed % (index.nlist() + 1);
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed.wrapping_add(case as u64));
+                let dim = index.dim();
+                let queries = Embeddings::new(
+                    dim,
+                    (0..3 * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect(),
+                );
+                let batched = index.search_batch(&queries, k, nprobe);
+                for q in 0..queries.len() {
+                    let reference = bits(index.search_reference(queries.vector(q), k, nprobe));
+                    prop_assert_eq!(
+                        bits(index.search(queries.vector(q), k, nprobe)),
+                        reference.clone(),
+                        "m {} ks {} pq {} query {}", m, ks, pq, q
+                    );
+                    let from_batch = batched.clone().map(|rows| rows[q].clone());
+                    prop_assert_eq!(bits(from_batch), reference, "batch, m {} ks {}", m, ks);
+                }
+            }
+        }
     }
 
     /// Reseeding never hands out a row already claimed this pass while

@@ -62,43 +62,82 @@ pub fn hit_order(a: &Hit, b: &Hit) -> Ordering {
         .then_with(|| a.index.cmp(&b.index))
 }
 
+/// A streaming top-`k` selector: feed it `(index, similarity)` pairs one
+/// at a time with [`push`](Self::push), then take the hits sorted by
+/// [`hit_order`] with [`into_sorted`](Self::into_sorted).
+///
+/// This is the one selection core of the crate: [`top_k_of`] is a loop
+/// over it, and the IVF fine scan pushes every candidate score straight
+/// into it instead of collecting the scores first. Given the same
+/// NaN-free `(index, similarity)` pairs it retains the same hits in any
+/// arrival order, because retention is decided by [`hit_order`], not by
+/// arrival.
+pub(crate) struct TopK {
+    k: usize,
+    heap: BinaryHeap<HeapEntry>,
+}
+
+impl TopK {
+    /// An empty selector keeping at most `k` hits (`k == 0` keeps none).
+    pub(crate) fn new(k: usize) -> Self {
+        TopK { k, heap: BinaryHeap::with_capacity(k + 1) }
+    }
+
+    /// Offers one candidate. A full selector first rejects on bare
+    /// similarity — a candidate strictly below the retained worst can
+    /// never place ahead of it — and only then applies [`hit_order`].
+    #[inline]
+    pub(crate) fn push(&mut self, index: usize, similarity: f32) {
+        let cand = Hit { index, similarity };
+        if self.heap.len() < self.k {
+            self.heap.push(HeapEntry(cand));
+        } else if let Some(worst) = self.heap.peek() {
+            if similarity < worst.0.similarity {
+                return;
+            }
+            // Replace the root whenever the candidate places strictly ahead
+            // of it under the canonical order. Using hit_order (not bare
+            // similarity) keeps the retained *set* canonical under ties:
+            // the lowest global indices survive regardless of arrival order.
+            if hit_order(&cand, &worst.0) == Ordering::Less {
+                self.heap.pop();
+                self.heap.push(HeapEntry(cand));
+            }
+        }
+    }
+
+    /// The retained hits, sorted by [`hit_order`].
+    pub(crate) fn into_sorted(self) -> Vec<Hit> {
+        let mut hits: Vec<Hit> = self.heap.into_iter().map(|e| e.0).collect();
+        hits.sort_by(hit_order);
+        hits
+    }
+}
+
 /// Selects the top-`k` hits from an arbitrary `(index, similarity)` stream.
 ///
-/// This is the selection core shared by [`top_k`], the IVF batched search
-/// and the serving engine: given identical `(index, similarity)` sequences
-/// it produces bit-identical hit lists, which is what lets the batched
-/// query paths be proven equivalent to the per-query reference paths.
+/// This is the selection core shared by [`top_k`], the IVF search and the
+/// serving engine (a loop over the crate's streaming selector): given
+/// identical `(index, similarity)` pairs it produces bit-identical hit
+/// lists, which is what lets the batched and fused query paths be proven
+/// equivalent to the per-query reference paths.
 ///
 /// Output is sorted by [`hit_order`] — descending similarity with ties
-/// broken by ascending index — so that, when the stream itself visits
-/// indices in ascending order (as the exhaustive scan does), the result
-/// equals the first `k` entries of the full sort and per-shard results can
-/// be recombined bit-identically by [`merge_top_k`].
+/// broken by ascending index — so for NaN-free similarities the result
+/// equals the first `k` entries of the full sort whatever order the stream
+/// visits indices in, and per-shard results can be recombined
+/// bit-identically by [`merge_top_k`].
 ///
 /// # Panics
 /// Panics if `k == 0`.
 // cmr-lint: allow(panic-path) documented precondition: k >= 1 is asserted at entry
 pub fn top_k_of(sims: impl Iterator<Item = (usize, f32)>, k: usize) -> Vec<Hit> {
     assert!(k >= 1, "top_k_of: k must be positive");
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
+    let mut top = TopK::new(k);
     for (i, sim) in sims {
-        let cand = Hit { index: i, similarity: sim };
-        if heap.len() < k {
-            heap.push(HeapEntry(cand));
-        } else if let Some(worst) = heap.peek() {
-            // Replace the root whenever the candidate places strictly ahead
-            // of it under the canonical order. Using hit_order (not bare
-            // similarity) keeps the retained *set* canonical under ties:
-            // the lowest global indices survive regardless of arrival order.
-            if hit_order(&cand, &worst.0) == Ordering::Less {
-                heap.pop();
-                heap.push(HeapEntry(cand));
-            }
-        }
+        top.push(i, sim);
     }
-    let mut hits: Vec<Hit> = heap.into_iter().map(|e| e.0).collect();
-    hits.sort_by(hit_order);
-    hits
+    top.into_sorted()
 }
 
 /// Merges per-shard top-`k` hit lists (already carrying *global* gallery

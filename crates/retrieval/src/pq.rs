@@ -10,13 +10,21 @@
 //! gives 16x compression.
 //!
 //! Search uses **asymmetric distance computation** (ADC): the query stays
-//! exact, and per query a `m × ks` table of partial dot products against
-//! every codebook entry is built once; scoring a code is then `m` table
-//! lookups instead of a `dim`-wide dot. Quantizing *residuals* (row minus
-//! its IVF cell centroid) keeps the dynamic range small, which is where
-//! most of the recall comes from — see [`crate::ivf::IvfIndex::quantize_residuals`].
+//! exact, and per query a table of partial dot products against every
+//! codebook entry is built once; scoring a code is then `m` table lookups
+//! instead of a `dim`-wide dot. Quantizing *residuals* (row minus its IVF
+//! cell centroid) keeps the dynamic range small, which is where most of
+//! the recall comes from — see [`crate::ivf::IvfIndex::quantize_residuals`].
+//!
+//! The table comes in two shapes with the same entries. The fused IVF
+//! scan reads one padded to `m × 256`, so that any code byte indexes a
+//! row with no clamp and no bounds check, and scores four codes per step.
+//! The reference path reads the unpadded `m × ks`
+//! [`ProductQuantizer::adc_table`] through the clamping
+//! [`ProductQuantizer::adc_score`]. Both sum the `m` lookups in subspace
+//! order from `+0.0`, so they give the same f32 for every code.
 
-// cmr-lint: allow-file(panic-path) codebook extents are fixed by the constructor invariants (codebooks.len() == m*ks*sub); subspace loops index within them, and code bytes are clamped with .min(ks-1) before use
+// cmr-lint: allow-file(panic-path) codebook extents are fixed by the constructor invariants (codebooks.len() == m*ks*sub); subspace loops index within them, code bytes are clamped with .min(ks-1) before indexing the unpadded table, and a u8 always indexes a [f32; 256] row of the padded one
 
 use crate::embeddings::Embeddings;
 use rand::seq::SliceRandom;
@@ -289,29 +297,44 @@ impl ProductQuantizer {
     /// The per-query ADC table: entry `j*ks() + c` is the dot product of
     /// query subspace `j` with centroid `c` of codebook `j`, so the inner
     /// product of the query with any decoded vector is the sum of `m`
-    /// lookups — see [`adc_score`](Self::adc_score).
+    /// lookups — see [`adc_score`](Self::adc_score). The fused scan's
+    /// padded table holds the same entries.
     ///
     /// # Panics
     /// Panics if `query.len() != dim()`.
     pub fn adc_table(&self, query: &[f32]) -> Vec<f32> {
-        assert_eq!(query.len(), self.dim, "ProductQuantizer::adc_table: dimension mismatch");
+        self.adc_lut(query).iter().flat_map(|row| row[..self.ks].iter().copied()).collect()
+    }
+
+    /// The per-query ADC table padded for the fused scan: row `j` holds
+    /// the `ks` partial dots of [`adc_table`](Self::adc_table)'s row `j`,
+    /// and entries `c ≥ ks` repeat entry `ks − 1`. That is exactly the
+    /// clamp [`adc_score`](Self::adc_score) and
+    /// [`decode_into`](Self::decode_into) apply to a hostile code byte, so
+    /// a code byte indexes its row directly — see [`lut_score`].
+    ///
+    /// # Panics
+    /// Panics if `query.len() != dim()`.
+    pub(crate) fn adc_lut(&self, query: &[f32]) -> Vec<[f32; 256]> {
+        assert_eq!(query.len(), self.dim, "ProductQuantizer::adc_lut: dimension mismatch");
         let sub = self.dim / self.m;
-        let mut table = vec![0.0f32; self.m * self.ks];
-        for j in 0..self.m {
+        let mut lut = vec![[0.0f32; 256]; self.m];
+        for (j, row) in lut.iter_mut().enumerate() {
             let q = &query[j * sub..(j + 1) * sub];
-            for c in 0..self.ks {
-                let centroid =
-                    &self.codebooks[(j * self.ks + c) * sub..(j * self.ks + c + 1) * sub];
-                table[j * self.ks + c] = q.iter().zip(centroid).map(|(a, b)| a * b).sum();
+            let book = &self.codebooks[j * self.ks * sub..(j + 1) * self.ks * sub];
+            for (entry, centroid) in row.iter_mut().zip(book.chunks_exact(sub)) {
+                *entry = q.iter().zip(centroid).map(|(a, b)| a * b).sum();
             }
+            let last = row[self.ks - 1];
+            row[self.ks..].fill(last);
         }
-        table
+        lut
     }
 
     /// Query·decoded(codes) via an [`adc_table`](Self::adc_table) — `m`
     /// lookups, no reconstruction. Out-of-range code bytes clamp exactly
     /// as in [`decode_into`](Self::decode_into), keeping the two paths
-    /// bit-identical.
+    /// bit-identical. The per-candidate reference for the fused scan.
     ///
     /// # Panics
     /// Panics if `codes.len() != m()` or the table is not `m() * ks()` long.
@@ -325,6 +348,40 @@ impl ProductQuantizer {
         }
         sim
     }
+}
+
+/// One code's ADC score through an [`adc_lut`](ProductQuantizer::adc_lut)
+/// table: the `m` lookups summed in subspace order from `+0.0`, the order
+/// [`adc_score`](ProductQuantizer::adc_score) sums them in, so the two
+/// return the same f32.
+#[inline]
+pub(crate) fn lut_score(lut: &[[f32; 256]], code: &[u8]) -> f32 {
+    let mut sim = 0.0f32;
+    for (row, &c) in lut.iter().zip(code) {
+        sim += row[usize::from(c)];
+    }
+    sim
+}
+
+/// [`lut_score`] of four consecutive `m`-byte codes (`codes` holds
+/// `4 * m` bytes) in one pass: four independent accumulators, so the
+/// four add chains overlap instead of forming one serial chain. Each
+/// accumulator still sums its own code's lookups in subspace order from
+/// `+0.0`, so every score equals [`lut_score`]'s bit for bit.
+#[inline]
+pub(crate) fn lut_score4(lut: &[[f32; 256]], codes: &[u8]) -> [f32; 4] {
+    let m = lut.len();
+    let (c0, rest) = codes.split_at(m);
+    let (c1, rest) = rest.split_at(m);
+    let (c2, c3) = rest.split_at(m);
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+    for ((((row, &a), &b), &c), &d) in lut.iter().zip(c0).zip(c1).zip(c2).zip(c3) {
+        s0 += row[usize::from(a)];
+        s1 += row[usize::from(b)];
+        s2 += row[usize::from(c)];
+        s3 += row[usize::from(d)];
+    }
+    [s0, s1, s2, s3]
 }
 
 /// Index of the centroid in `book` (ks centroids of width `sub`) nearest

@@ -1,17 +1,21 @@
-//! The admission queue: coalesces concurrently arriving single queries
-//! into micro-batches for the ranking kernel.
+//! The admission queue: runs a lone query on the thread that submitted it,
+//! and coalesces queries that pile up into micro-batches for the ranking
+//! kernel.
 //!
-//! Connection threads [`submit`](Batcher::submit) one job each and block on
-//! a private channel. The queue is self-clocking: a worker sleeps until
-//! *any* job is queued, then takes up to `CMR_SERVE_BATCH` queued jobs that
-//! share `(direction, k)` — the axes the kernel batches over — and
-//! dispatches them at once. It never waits on a timer for company, so a
-//! lone query goes straight to the kernel and batches grow only when jobs
-//! pile up behind a busy worker.
+//! Execution is bounded by slots, one per worker: at most `workers`
+//! batches run at once, whoever runs them. When [`submit`](Batcher::submit)
+//! finds the queue empty and a slot free, the calling (connection) thread
+//! takes the slot and ranks its own query, so a lone query pays no thread
+//! handoff: the returned receiver already holds the answer. Otherwise the
+//! job is queued, and a worker that holds a free slot takes up to
+//! `CMR_SERVE_BATCH` queued jobs that share `(direction, k)` — the axes the
+//! kernel batches over — and dispatches them at once. Nothing waits on a
+//! timer for company: batches grow only when jobs pile up behind busy
+//! slots.
 //!
 //! Because the engine's batch path is bit-identical to its single-query
-//! path (see [`crate::engine`]), coalescing is invisible in the response
-//! bytes; it only moves the throughput/latency trade-off.
+//! path (see [`crate::engine`]), who runs a job and with whom is invisible
+//! in the response bytes; it only moves the throughput/latency trade-off.
 //!
 //! Shutdown is draining: [`shutdown`](Batcher::shutdown) first flips the
 //! flag so new submissions are refused with a typed
@@ -38,9 +42,16 @@ struct Job {
     resp: mpsc::Sender<Result<String, SearchError>>,
 }
 
+/// What the queue mutex guards: the queued jobs and the execution slots
+/// not currently running a batch.
+struct Queue {
+    jobs: VecDeque<Job>,
+    free_slots: usize,
+}
+
 struct Inner {
     engine: Arc<Engine>,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Queue>,
     cv: Condvar,
     shutting_down: AtomicBool,
     max_batch: usize,
@@ -48,8 +59,23 @@ struct Inner {
 }
 
 impl Inner {
-    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
+    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
         self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+/// One taken execution slot. Dropping it hands the slot back and wakes a
+/// worker if jobs queued up meanwhile, also when the batch it ran
+/// unwound.
+struct Slot<'a>(&'a Inner);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut q = self.0.lock_queue();
+        q.free_slots += 1;
+        if !q.jobs.is_empty() {
+            self.0.cv.notify_one();
+        }
     }
 }
 
@@ -60,19 +86,21 @@ pub struct Batcher {
 }
 
 impl Batcher {
-    /// Spawns `workers` batch workers draining into `engine`. `max_wait` is
-    /// ignored (the queue never lingers); it is kept only for the call in
+    /// Spawns `workers` batch workers draining into `engine`, with one
+    /// execution slot each. `max_wait` is ignored (the queue never
+    /// lingers); it is kept only for the call in
     /// `perfbench/src/layers.rs`, until that uses [`from_config`](Self::from_config).
     pub fn new(engine: Arc<Engine>, max_batch: usize, _max_wait: Duration, workers: usize) -> Self {
+        let workers = workers.max(1);
         let inner = Arc::new(Inner {
             engine,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue { jobs: VecDeque::new(), free_slots: workers }),
             cv: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             max_batch: max_batch.max(1),
             batches: AtomicU64::new(0),
         });
-        let handles = (0..workers.max(1))
+        let handles = (0..workers)
             .map(|_| {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || worker_loop(&inner))
@@ -87,10 +115,14 @@ impl Batcher {
         Self::new(engine, cfg.max_batch, Duration::ZERO, cfg.workers)
     }
 
-    /// Enqueues one query; the returned receiver yields the rendered
+    /// Admits one query; the returned receiver yields the rendered
     /// response body, or the typed [`SearchError`] the engine refused the
     /// batch with (bad `k`/dimension slip through admission only via
     /// internal callers; the engine no longer panics on them either way).
+    ///
+    /// With nothing queued and a slot free, the query runs on the calling
+    /// thread before this returns, and the receiver already holds the
+    /// answer; otherwise it is queued for a worker.
     ///
     /// # Errors
     /// [`ServeError::ShuttingDown`] once [`shutdown`](Self::shutdown) has
@@ -102,27 +134,33 @@ impl Batcher {
         query: Vec<f32>,
     ) -> Result<mpsc::Receiver<Result<String, SearchError>>, ServeError> {
         let (tx, rx) = mpsc::channel();
-        {
-            let mut q = self.inner.lock_queue();
-            // Checked under the queue lock: shutdown() flips the flag under
-            // this same lock, so a job admitted here is ordered before the
-            // drain decision and cannot be stranded.
-            if self.inner.shutting_down.load(Ordering::SeqCst) {
-                return Err(ServeError::ShuttingDown);
-            }
-            q.push_back(Job { direction, k, query, resp: tx });
+        let job = Job { direction, k, query, resp: tx };
+        let mut q = self.inner.lock_queue();
+        // Checked under the queue lock: shutdown() flips the flag under
+        // this same lock, so a job admitted here is ordered before the
+        // drain decision and cannot be stranded.
+        if self.inner.shutting_down.load(Ordering::SeqCst) {
+            return Err(ServeError::ShuttingDown);
         }
-        // Notify after releasing the queue lock: workers woken here re-check
-        // the queue under the mutex themselves, so no wakeup is lost, and
-        // notifying lock-free avoids waking a worker straight into a wall.
-        // cmr-lint: allow(condvar-discipline) waiters re-check the queue under the mutex; lock-free notify only avoids a pointless contention bounce
-        self.inner.cv.notify_one();
+        if !q.jobs.is_empty() || q.free_slots == 0 {
+            q.jobs.push_back(job);
+            self.inner.cv.notify_one();
+            return Ok(rx);
+        }
+        // Nobody is waiting ahead of this job and a slot is free: run it
+        // here, outside the lock, rather than wake a worker and sleep until
+        // it answers.
+        q.free_slots -= 1;
+        drop(q);
+        let _slot = Slot(&self.inner);
+        self.inner.batches.fetch_add(1, Ordering::Relaxed);
+        execute_batch(&self.inner.engine, vec![job]);
         Ok(rx)
     }
 
     /// Jobs currently queued (diagnostics).
     pub fn queued(&self) -> usize {
-        self.inner.lock_queue().len()
+        self.inner.lock_queue().jobs.len()
     }
 
     /// Refuses new work, drains everything already admitted, and joins the
@@ -131,11 +169,8 @@ impl Batcher {
         {
             let _q = self.inner.lock_queue();
             self.inner.shutting_down.store(true, Ordering::SeqCst);
+            self.inner.cv.notify_all();
         }
-        // The flag was flipped under the queue lock above, so every waiter
-        // woken here re-observes it under the mutex before deciding to exit.
-        // cmr-lint: allow(condvar-discipline) waiters re-check shutting_down under the mutex; the flag store is ordered by the lock held above
-        self.inner.cv.notify_all();
         // Take the handles out under the lock, join outside it: joining
         // while holding `workers` would block any concurrent shutdown (and
         // Drop runs this path) on threads still draining the queue.
@@ -155,47 +190,48 @@ impl Drop for Batcher {
     }
 }
 
-/// One worker: wait for a first job, take its queued shape-mates, execute
-/// the batch. Exits when shutdown is flagged *and* the queue is empty.
-// cmr-lint: allow(panic-path) the q[i] probe is guarded by `i < q.len()` in its loop condition
+/// One worker: wait until a job is queued and a slot is free, take the
+/// slot and the first job's queued shape-mates, execute the batch, hand
+/// the slot back. Exits when shutdown is flagged *and* the queue is
+/// empty, waking its peers so they re-check the same.
+// cmr-lint: allow(panic-path) the q.jobs[i] probe is guarded by `i < q.jobs.len()` in its loop condition
 fn worker_loop(inner: &Inner) {
     loop {
         let mut q = inner.lock_queue();
-        // Sleep until any job exists (or the drain completes).
-        while q.is_empty() {
-            if inner.shutting_down.load(Ordering::SeqCst) {
+        while q.jobs.is_empty() || q.free_slots == 0 {
+            if q.jobs.is_empty() && inner.shutting_down.load(Ordering::SeqCst) {
+                // A peer may be waiting for a slot to drain jobs that this
+                // worker took; the queue is now empty for good.
+                inner.cv.notify_all();
                 return;
             }
             q = inner.cv.wait(q).unwrap_or_else(|p| p.into_inner());
         }
-        let Some(first) = q.pop_front() else {
+        let Some(first) = q.jobs.pop_front() else {
             continue;
         };
+        q.free_slots -= 1;
         // Collect queue-mates sharing the batchable shape (direction, k),
         // preserving arrival order for everyone left behind.
         let mut batch = vec![first];
         let mut i = 0;
-        while i < q.len() && batch.len() < inner.max_batch {
-            let mate = q[i].direction == batch[0].direction && q[i].k == batch[0].k;
+        while i < q.jobs.len() && batch.len() < inner.max_batch {
+            let mate = q.jobs[i].direction == batch[0].direction && q.jobs[i].k == batch[0].k;
             if mate {
-                if let Some(job) = q.remove(i) {
+                if let Some(job) = q.jobs.remove(i) {
                     batch.push(job);
                 }
             } else {
                 i += 1;
             }
         }
-        let more_work = !q.is_empty();
-        drop(q);
-        if more_work {
+        if !q.jobs.is_empty() && q.free_slots > 0 {
             // Leftover jobs (other shapes) should not wait for this batch
-            // to finish executing before another worker picks them up. The
-            // queue guard was dropped just above on purpose: the woken
-            // worker re-checks the queue under the mutex, so the handoff is
-            // race-free without re-serializing on the lock here.
-            // cmr-lint: allow(condvar-discipline) woken worker re-checks the queue under the mutex; guard deliberately dropped before the handoff
+            // to finish executing while another slot is free.
             inner.cv.notify_one();
         }
+        drop(q);
+        let _slot = Slot(inner);
         inner.batches.fetch_add(1, Ordering::Relaxed);
         execute_batch(&inner.engine, batch);
     }
@@ -209,11 +245,14 @@ fn execute_batch(engine: &Engine, batch: Vec<Job>) {
         cmr_obs::counter_add("serve.batched_requests", batch.len() as u64);
         cmr_obs::observe("serve.batch_size", batch.len() as f64);
     }
+    let Some(&Job { direction, k, .. }) = batch.first() else {
+        return;
+    };
     let mut queries = Embeddings::with_capacity(engine.dim(), batch.len());
     for job in &batch {
         queries.push(&job.query);
     }
-    match engine.search_batch(batch[0].direction, &queries, batch[0].k) {
+    match engine.search_batch(direction, &queries, k) {
         Ok(results) => {
             for (job, hits) in batch.iter().zip(results) {
                 // A receiver that hung up (client gone) is not an error here.
@@ -256,6 +295,60 @@ mod tests {
         let rx = b.submit(Direction::ImToRec, 3, vec![1.0, 0.0, 0.0, 0.0]).unwrap();
         assert_eq!(rx.recv_timeout(Duration::from_secs(2)), Ok(Ok(reference)), "waited on a timer");
         b.shutdown();
+    }
+
+    #[test]
+    fn a_lone_submit_is_answered_on_the_calling_thread() {
+        let e = engine(8);
+        let q = vec![0.0, 1.0, 0.0, 0.0];
+        let reference = render_hits(&e.search_one(Direction::RecToIm, &q, 4).unwrap());
+        let b = Batcher::new(e, 8, Duration::ZERO, 1);
+        let rx = b.submit(Direction::RecToIm, 4, q).unwrap();
+        assert_eq!(rx.try_recv(), Ok(Ok(reference)), "answer not ready when submit returned");
+        assert_eq!(b.inner.batches.load(Ordering::Relaxed), 1);
+        b.shutdown();
+    }
+
+    #[test]
+    fn submits_racing_shutdown_are_answered_once_or_refused() {
+        let e = engine(9);
+        let (mut admitted, mut refused) = (0usize, 0usize);
+        for _ in 0..20 {
+            let b = Arc::new(Batcher::new(Arc::clone(&e), 4, Duration::ZERO, 2));
+            let start = Arc::new(std::sync::Barrier::new(7));
+            let submitters: Vec<_> = (0..6)
+                .map(|t| {
+                    let (b, start) = (Arc::clone(&b), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        (0..40)
+                            .map(|i| {
+                                let k = 1 + (t + i) % 3;
+                                b.submit(Direction::ImToRec, k, vec![0.5, 0.5, 0.5, 0.5])
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            start.wait();
+            b.shutdown();
+            for handle in submitters {
+                for outcome in handle.join().unwrap() {
+                    match outcome {
+                        Ok(rx) => {
+                            assert!(matches!(rx.recv(), Ok(Ok(_))), "admitted job unanswered");
+                            assert!(rx.recv().is_err(), "admitted job answered twice");
+                            admitted += 1;
+                        }
+                        Err(err) => {
+                            assert!(matches!(err, ServeError::ShuttingDown), "{err:?}");
+                            refused += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(admitted > 0 && refused > 0, "admitted {admitted}, refused {refused}");
     }
 
     #[test]
@@ -318,7 +411,7 @@ mod tests {
         for _ in 0..n {
             let (resp, rx) = mpsc::channel();
             let query = vec![1.0, 0.0, 0.0, 0.0];
-            q.push_back(Job { direction: Direction::ImToRec, k: 2, query, resp });
+            q.jobs.push_back(Job { direction: Direction::ImToRec, k: 2, query, resp });
             rxs.push(rx);
         }
         then();

@@ -40,7 +40,9 @@ pub struct ServeConfig {
     /// Ignored: the admission queue never waits for company. Kept only for
     /// the `Batcher::new` call in `perfbench/src/layers.rs`.
     pub max_wait: Duration,
-    /// Number of batcher worker threads draining the admission queue.
+    /// Number of batcher worker threads draining the admission queue, and
+    /// of execution slots: at most this many batches rank at once, whether
+    /// a worker or a submitting connection thread runs them.
     pub workers: usize,
     /// Per-connection socket read timeout; a connection that goes quiet
     /// mid-request for this long gets `408 Request Timeout`.

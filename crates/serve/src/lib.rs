@@ -7,11 +7,13 @@
 //!
 //! The paper frames retrieval in the cooking context as an interactive,
 //! Recipe1M-scale problem; this crate is the serving half of that claim.
-//! Its throughput lever is the **admission queue** ([`Batcher`]): a free
-//! worker takes the queued queries of one shape, up to `CMR_SERVE_BATCH`,
-//! and dispatches them as one micro-batch to the batched ranking kernel —
-//! which is bit-identical per query to the single-query path, so batching
-//! never changes response bytes. A sharded LRU cache ([`ShardedCache`])
+//! Its throughput lever is the **admission queue** ([`Batcher`]): a lone
+//! query runs on its connection thread, and queries that pile up behind
+//! busy execution slots leave in micro-batches — a free worker takes the
+//! queued queries of one shape, up to `CMR_SERVE_BATCH`, and dispatches
+//! them at once to the batched ranking kernel, which is bit-identical per
+//! query to the single-query path, so batching never changes response
+//! bytes. A sharded LRU cache ([`ShardedCache`])
 //! keyed on the raw query bytes short-circuits repeats entirely.
 //!
 //! Its availability lever is the **fault-tolerant sharded tier**: a

@@ -19,7 +19,8 @@
 //! every failure maps to a typed [`ServeError`] status (see
 //! [`crate::error`]). Each request is answered from the sharded result
 //! cache when possible and otherwise submitted to the admission queue,
-//! which batches it with concurrent arrivals before ranking.
+//! which ranks a lone query on the connection thread itself and batches
+//! queries that pile up behind busy slots.
 //!
 //! ## Accept and shutdown
 //!

@@ -225,7 +225,10 @@ gate "serving: serve binary + loadgen" check_serve
 # ANN gate: build + save a quantized index at the 100k scale, prove that a
 # single flipped byte makes the load fail with a typed error (never a
 # panic, never a silently-wrong index), then smoke the recall/latency
-# benchmark and hold its operating point to the recall@10 floor. The
+# benchmark and hold its operating point to the recall@10 floor. bench_ann
+# exits non-zero unless every swept query's hits (flat and PQ, nprobe 1, 4
+# and 16) equal IvfIndex::search_reference bit for bit, so this gate also
+# checks the fused scan against the per-candidate reference scan. The
 # smoke sweep lands in results/ann_gate/ (results/BENCH_ann.json keeps
 # the archived 1M curve; regenerate it with a plain `bench_ann` run).
 check_ann() {
