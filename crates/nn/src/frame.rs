@@ -173,7 +173,7 @@ impl<R: Read> Frame<R> {
     }
 
     /// Reads `count` little-endian `f32`s through a buffer of at most
-    /// [`CHUNK`] bytes.
+    /// 256 KiB.
     pub fn f32s(&mut self, count: usize) -> io::Result<Vec<f32>> {
         if count > self.remaining / 4 {
             return Err(bad(format!("input claims {count} f32s in {} bytes", self.remaining)));

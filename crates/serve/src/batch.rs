@@ -1,27 +1,35 @@
-//! The admission queue: runs a lone query on the thread that submitted it,
+//! The admission queue: runs queries on the threads that submitted them,
 //! and coalesces queries that pile up into micro-batches for the ranking
 //! kernel.
 //!
-//! Execution is bounded by slots, one per worker: at most `workers`
-//! batches run at once, whoever runs them. When [`submit`](Batcher::submit)
-//! finds the queue empty and a slot free, the calling (connection) thread
-//! takes the slot and ranks its own query, so a lone query pays no thread
-//! handoff: the returned receiver already holds the answer. Otherwise the
-//! job is queued, and a worker that holds a free slot takes up to
-//! `CMR_SERVE_BATCH` queued jobs that share `(direction, k)` — the axes the
-//! kernel batches over — and dispatches them at once. Nothing waits on a
-//! timer for company: batches grow only when jobs pile up behind busy
-//! slots.
+//! Execution is bounded by slots: at most `workers` batches run at once,
+//! and only the submitting threads run them. [`submit`](Batcher::submit)
+//! queues its job and, under the queue lock, looks at it. If the job is at
+//! the front and a slot is free, the calling (connection) thread takes the
+//! slot and runs the batch its job heads: the job plus up to
+//! `CMR_SERVE_BATCH − 1` queued jobs that share its `(direction, k)` — the
+//! axes the kernel batches over — in arrival order. If a batch-mate has
+//! already answered the job, it returns; otherwise it parks. A lone query
+//! is the first case with an empty queue, so it pays no thread handoff.
+//! Either way the returned receiver already holds the answer. Nothing
+//! waits on a timer for company: batches grow only when jobs pile up
+//! behind busy slots.
+//!
+//! Wake-ups are targeted. A released slot unparks the owner of the front
+//! job; a batch's mates are unparked once, after their answers are sent
+//! (or the batch unwound). A submitter runs at most one batch, and that
+//! batch holds its own job, so no client waits while its thread drains
+//! other clients' queries.
 //!
 //! Because the engine's batch path is bit-identical to its single-query
 //! path (see [`crate::engine`]), who runs a job and with whom is invisible
 //! in the response bytes; it only moves the throughput/latency trade-off.
 //!
-//! Shutdown is draining: [`shutdown`](Batcher::shutdown) first flips the
-//! flag so new submissions are refused with a typed
-//! [`ServeError::ShuttingDown`], then wakes the workers, which keep
-//! executing until the queue is empty — no accepted job is ever dropped
-//! or answered twice.
+//! Shutdown refuses new submissions with a typed
+//! [`ServeError::ShuttingDown`]. Every admitted job still has its
+//! submitter parked in `submit`, which runs it or is answered by a
+//! batch-mate, so no accepted job is dropped or answered twice, and there
+//! is nothing to join.
 
 use crate::config::ServeConfig;
 use crate::engine::{render_hits, Direction, Engine};
@@ -29,100 +37,143 @@ use crate::error::ServeError;
 use cmr_retrieval::{Embeddings, SearchError};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::thread::{self, Thread};
 use std::time::Duration;
 
-/// One queued query plus the channel its rendered response (or the typed
-/// search error the HTTP layer maps to a status) goes back on.
+/// One submitter waiting in [`Batcher::submit`]: the thread to unpark,
+/// and whether a batch-mate has answered its job. The flag lets a woken
+/// mate return without taking the queue lock.
+struct Waiter {
+    thread: Thread,
+    answered: AtomicBool,
+}
+
+/// One queued query, the channel its rendered response (or the typed
+/// search error the HTTP layer maps to a status) goes back on, and its
+/// submitter.
 struct Job {
     direction: Direction,
     k: usize,
     query: Vec<f32>,
     resp: mpsc::Sender<Result<String, SearchError>>,
+    owner: Arc<Waiter>,
 }
 
-/// What the queue mutex guards: the queued jobs and the execution slots
-/// not currently running a batch.
+/// What the queue mutex guards.
 struct Queue {
+    /// Admitted jobs no batch has taken yet, in arrival order.
     jobs: VecDeque<Job>,
+    /// Execution slots not currently running a batch.
     free_slots: usize,
+    shutting_down: bool,
 }
 
-struct Inner {
-    engine: Arc<Engine>,
-    queue: Mutex<Queue>,
-    cv: Condvar,
-    shutting_down: AtomicBool,
-    max_batch: usize,
-    batches: AtomicU64, // dispatched so far; the unit tests read it
-}
-
-impl Inner {
-    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+impl Queue {
+    /// Takes a slot and the batch the front job heads: it plus up to
+    /// `max_batch − 1` queued jobs of its shape, in arrival order.
+    /// Everyone left behind keeps their order.
+    fn take_batch(&mut self, max_batch: usize) -> Vec<Job> {
+        let Some(first) = self.jobs.pop_front() else {
+            return Vec::new();
+        };
+        self.free_slots -= 1;
+        let shape = (first.direction, first.k);
+        let mut batch = vec![first];
+        let mut i = 0;
+        while batch.len() < max_batch {
+            match self.jobs.get(i).map(|job| (job.direction, job.k) == shape) {
+                None => break,
+                Some(true) => batch.extend(self.jobs.remove(i)),
+                Some(false) => i += 1,
+            }
+        }
+        batch
     }
-}
 
-/// One taken execution slot. Dropping it hands the slot back and wakes a
-/// worker if jobs queued up meanwhile, also when the batch it ran
-/// unwound.
-struct Slot<'a>(&'a Inner);
-
-impl Drop for Slot<'_> {
-    fn drop(&mut self) {
-        let mut q = self.0.lock_queue();
-        q.free_slots += 1;
-        if !q.jobs.is_empty() {
-            self.0.cv.notify_one();
+    /// Unparks the front job's owner if a slot is free for it: the one
+    /// submitter that may take it.
+    fn wake_front(&self) {
+        if self.free_slots > 0 {
+            if let Some(job) = self.jobs.front() {
+                job.owner.thread.unpark();
+            }
         }
     }
 }
 
-/// The admission queue plus its worker threads.
+/// One running batch: a taken execution slot and the submitters riding
+/// in it. Dropping it — after the batch's answers are sent, or when the
+/// batch unwound — wakes the mates, then hands the slot back and wakes
+/// the front job's owner to take it.
+struct Running<'a> {
+    batcher: &'a Batcher,
+    mates: Vec<Arc<Waiter>>,
+}
+
+impl Drop for Running<'_> {
+    fn drop(&mut self) {
+        // Mates first, while the slot is still taken: their clients' next
+        // requests then queue behind it and tend to leave together. With the
+        // slot freed first, tests/serve_batching.rs's coalescing test read
+        // batch-size p50 = 1 in 5 of 10 runs (EXPERIMENTS.md, "Admission
+        // without worker threads").
+        for mate in &self.mates {
+            mate.answered.store(true, Ordering::Release);
+            mate.thread.unpark();
+        }
+        let mut q = self.batcher.lock_queue();
+        q.free_slots += 1;
+        q.wake_front();
+    }
+}
+
+/// The admission queue: execution slots over one engine, run by the
+/// submitting threads.
 pub struct Batcher {
-    inner: Arc<Inner>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    engine: Arc<Engine>,
+    queue: Mutex<Queue>,
+    max_batch: usize,
+    batches: AtomicU64, // dispatched so far; the unit tests read it
 }
 
 impl Batcher {
-    /// Spawns `workers` batch workers draining into `engine`, with one
-    /// execution slot each. `max_wait` is ignored (the queue never
-    /// lingers); it is kept only for the call in
-    /// `perfbench/src/layers.rs`, until that uses [`from_config`](Self::from_config).
+    /// A queue ranking through `engine` with `workers` execution slots (at
+    /// most that many batches run at once) and at most `max_batch` jobs
+    /// per batch. `max_wait` is ignored (the queue never lingers); it is
+    /// kept only for the call in `perfbench/src/layers.rs`, until that
+    /// uses [`from_config`](Self::from_config).
     pub fn new(engine: Arc<Engine>, max_batch: usize, _max_wait: Duration, workers: usize) -> Self {
-        let workers = workers.max(1);
-        let inner = Arc::new(Inner {
+        Batcher {
             engine,
-            queue: Mutex::new(Queue { jobs: VecDeque::new(), free_slots: workers }),
-            cv: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                free_slots: workers.max(1),
+                shutting_down: false,
+            }),
             max_batch: max_batch.max(1),
             batches: AtomicU64::new(0),
-        });
-        let handles = (0..workers)
-            .map(|_| {
-                let inner = Arc::clone(&inner);
-                std::thread::spawn(move || worker_loop(&inner))
-            })
-            .collect();
-        Batcher { inner, workers: Mutex::new(handles) }
+        }
     }
 
-    /// Spawns `cfg.workers` batch workers draining into `engine`, each
-    /// dispatching at most `cfg.max_batch` jobs at once.
+    /// A queue with `cfg.workers` execution slots, each batch holding at
+    /// most `cfg.max_batch` jobs.
     pub fn from_config(engine: Arc<Engine>, cfg: &ServeConfig) -> Self {
         Self::new(engine, cfg.max_batch, Duration::ZERO, cfg.workers)
     }
 
-    /// Admits one query; the returned receiver yields the rendered
-    /// response body, or the typed [`SearchError`] the engine refused the
-    /// batch with (bad `k`/dimension slip through admission only via
-    /// internal callers; the engine no longer panics on them either way).
+    fn lock_queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Admits one query and returns once it is answered: the returned
+    /// receiver already holds the rendered response body, or the typed
+    /// [`SearchError`] the engine refused the batch with (bad
+    /// `k`/dimension slip through admission only via internal callers; the
+    /// engine no longer panics on them either way).
     ///
-    /// With nothing queued and a slot free, the query runs on the calling
-    /// thread before this returns, and the receiver already holds the
-    /// answer; otherwise it is queued for a worker.
+    /// The calling thread either runs the batch its job heads or parks
+    /// until a batch-mate has answered it (see the module docs).
     ///
     /// # Errors
     /// [`ServeError::ShuttingDown`] once [`shutdown`](Self::shutdown) has
@@ -133,107 +184,44 @@ impl Batcher {
         k: usize,
         query: Vec<f32>,
     ) -> Result<mpsc::Receiver<Result<String, SearchError>>, ServeError> {
-        let (tx, rx) = mpsc::channel();
-        let job = Job { direction, k, query, resp: tx };
-        let mut q = self.inner.lock_queue();
-        // Checked under the queue lock: shutdown() flips the flag under
-        // this same lock, so a job admitted here is ordered before the
-        // drain decision and cannot be stranded.
-        if self.inner.shutting_down.load(Ordering::SeqCst) {
+        let (resp, rx) = mpsc::channel();
+        let me = Arc::new(Waiter { thread: thread::current(), answered: AtomicBool::new(false) });
+        let mut q = self.lock_queue();
+        if q.shutting_down {
             return Err(ServeError::ShuttingDown);
         }
-        if !q.jobs.is_empty() || q.free_slots == 0 {
-            q.jobs.push_back(job);
-            self.inner.cv.notify_one();
-            return Ok(rx);
+        q.jobs.push_back(Job { direction, k, query, resp, owner: Arc::clone(&me) });
+        loop {
+            let front = q.jobs.front().is_some_and(|job| Arc::ptr_eq(&job.owner, &me));
+            if front && q.free_slots > 0 {
+                let batch = q.take_batch(self.max_batch);
+                // Leftover jobs of other shapes need not wait for this
+                // batch while another slot is free.
+                q.wake_front();
+                drop(q);
+                let mates = batch.iter().skip(1).map(|job| Arc::clone(&job.owner)).collect();
+                let _running = Running { batcher: self, mates };
+                self.batches.fetch_add(1, Ordering::Relaxed);
+                execute_batch(&self.engine, batch);
+                return Ok(rx);
+            }
+            // Every wake re-checks, so a stale or spurious unpark only costs
+            // a loop turn.
+            drop(q);
+            thread::park();
+            if me.answered.load(Ordering::Acquire) {
+                return Ok(rx);
+            }
+            q = self.lock_queue();
         }
-        // Nobody is waiting ahead of this job and a slot is free: run it
-        // here, outside the lock, rather than wake a worker and sleep until
-        // it answers.
-        q.free_slots -= 1;
-        drop(q);
-        let _slot = Slot(&self.inner);
-        self.inner.batches.fetch_add(1, Ordering::Relaxed);
-        execute_batch(&self.inner.engine, vec![job]);
-        Ok(rx)
     }
 
-    /// Jobs currently queued (diagnostics).
-    pub fn queued(&self) -> usize {
-        self.inner.lock_queue().jobs.len()
-    }
-
-    /// Refuses new work, drains everything already admitted, and joins the
-    /// workers. Idempotent.
+    /// Refuses new work. Every job already admitted still has its
+    /// submitter in [`submit`](Self::submit), which runs it or is answered
+    /// by a batch-mate, so nothing is stranded and nothing needs joining.
+    /// Idempotent.
     pub fn shutdown(&self) {
-        {
-            let _q = self.inner.lock_queue();
-            self.inner.shutting_down.store(true, Ordering::SeqCst);
-            self.inner.cv.notify_all();
-        }
-        // Take the handles out under the lock, join outside it: joining
-        // while holding `workers` would block any concurrent shutdown (and
-        // Drop runs this path) on threads still draining the queue.
-        let handles: Vec<JoinHandle<()>> = {
-            let mut workers = self.workers.lock().unwrap_or_else(|p| p.into_inner());
-            workers.drain(..).collect()
-        };
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One worker: wait until a job is queued and a slot is free, take the
-/// slot and the first job's queued shape-mates, execute the batch, hand
-/// the slot back. Exits when shutdown is flagged *and* the queue is
-/// empty, waking its peers so they re-check the same.
-// cmr-lint: allow(panic-path) the q.jobs[i] probe is guarded by `i < q.jobs.len()` in its loop condition
-fn worker_loop(inner: &Inner) {
-    loop {
-        let mut q = inner.lock_queue();
-        while q.jobs.is_empty() || q.free_slots == 0 {
-            if q.jobs.is_empty() && inner.shutting_down.load(Ordering::SeqCst) {
-                // A peer may be waiting for a slot to drain jobs that this
-                // worker took; the queue is now empty for good.
-                inner.cv.notify_all();
-                return;
-            }
-            q = inner.cv.wait(q).unwrap_or_else(|p| p.into_inner());
-        }
-        let Some(first) = q.jobs.pop_front() else {
-            continue;
-        };
-        q.free_slots -= 1;
-        // Collect queue-mates sharing the batchable shape (direction, k),
-        // preserving arrival order for everyone left behind.
-        let mut batch = vec![first];
-        let mut i = 0;
-        while i < q.jobs.len() && batch.len() < inner.max_batch {
-            let mate = q.jobs[i].direction == batch[0].direction && q.jobs[i].k == batch[0].k;
-            if mate {
-                if let Some(job) = q.jobs.remove(i) {
-                    batch.push(job);
-                }
-            } else {
-                i += 1;
-            }
-        }
-        if !q.jobs.is_empty() && q.free_slots > 0 {
-            // Leftover jobs (other shapes) should not wait for this batch
-            // to finish executing while another slot is free.
-            inner.cv.notify_one();
-        }
-        drop(q);
-        let _slot = Slot(inner);
-        inner.batches.fetch_add(1, Ordering::Relaxed);
-        execute_batch(&inner.engine, batch);
+        self.lock_queue().shutting_down = true;
     }
 }
 
@@ -276,12 +264,16 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     fn engine(seed: u64) -> Arc<Engine> {
+        sized_engine(seed, 30, 20)
+    }
+
+    fn sized_engine(seed: u64, recipes: usize, images: usize) -> Arc<Engine> {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let mut gallery = |n: usize| {
             Embeddings::new(4, (0..n * 4).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
                 .l2_normalized()
         };
-        Arc::new(Engine::exact(gallery(30), gallery(20)).expect("valid galleries"))
+        Arc::new(Engine::exact(gallery(recipes), gallery(images)).expect("valid galleries"))
     }
 
     #[test]
@@ -305,7 +297,7 @@ mod tests {
         let b = Batcher::new(e, 8, Duration::ZERO, 1);
         let rx = b.submit(Direction::RecToIm, 4, q).unwrap();
         assert_eq!(rx.try_recv(), Ok(Ok(reference)), "answer not ready when submit returned");
-        assert_eq!(b.inner.batches.load(Ordering::Relaxed), 1);
+        assert_eq!(b.batches.load(Ordering::Relaxed), 1);
         b.shutdown();
     }
 
@@ -353,19 +345,30 @@ mod tests {
 
     #[test]
     fn concurrent_submits_all_answer_identically_to_reference() {
-        let e = engine(2);
+        // An image gallery large enough that a search outlasts a submit, so
+        // the 24 submitters keep queueing behind the 2 busy slots.
+        let e = sized_engine(2, 30, 5000);
         let b = Arc::new(Batcher::new(Arc::clone(&e), 8, Duration::ZERO, 2));
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         let queries: Vec<Vec<f32>> = (0..24)
             .map(|_| (0..4).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
             .collect();
+        let start = Arc::new(std::sync::Barrier::new(queries.len()));
         let handles: Vec<_> = queries
             .iter()
             .cloned()
             .map(|qv| {
-                let b = Arc::clone(&b);
+                let (b, start) = (Arc::clone(&b), Arc::clone(&start));
+                // Whether this thread ran the job or a batch-mate did, the
+                // answer is in the receiver by the time submit returns.
                 std::thread::spawn(move || {
-                    b.submit(Direction::RecToIm, 5, qv).unwrap().recv().unwrap().unwrap()
+                    start.wait();
+                    let mut answers = (0..100).map(|_| {
+                        b.submit(Direction::RecToIm, 5, qv.clone()).unwrap().try_recv().unwrap()
+                    });
+                    let first = answers.next().unwrap().unwrap();
+                    assert!(answers.all(|a| a.as_ref() == Ok(&first)), "answers differ");
+                    first
                 })
             })
             .collect();
@@ -374,6 +377,8 @@ mod tests {
             let want = render_hits(&e.search_one(Direction::RecToIm, qv, 5).unwrap());
             assert_eq!(got, want);
         }
+        let batches = b.batches.load(Ordering::Relaxed);
+        assert!(batches < 2400, "no submit queued: {batches} batches for 2400 submits");
         b.shutdown();
     }
 
@@ -403,20 +408,23 @@ mod tests {
 
     type Rx = mpsc::Receiver<Result<String, SearchError>>;
 
-    /// Queues `n` identical jobs, then runs `then`, under one hold of the
-    /// queue lock: no worker sees any of the jobs before all are queued.
-    fn enqueue_unseen(b: &Batcher, n: usize, then: impl FnOnce()) -> Vec<Rx> {
-        let mut q = b.inner.lock_queue();
-        let mut rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (resp, rx) = mpsc::channel();
-            let query = vec![1.0, 0.0, 0.0, 0.0];
-            q.jobs.push_back(Job { direction: Direction::ImToRec, k: 2, query, resp });
-            rxs.push(rx);
-        }
-        then();
-        b.inner.cv.notify_one();
-        rxs
+    /// Holds `b`'s one slot while `n` submitter threads queue identical
+    /// jobs behind it; once all are queued, runs `then` and releases the
+    /// slot. Returns each submitter's receiver.
+    fn queue_behind_held_slot(b: &Batcher, n: usize, then: impl FnOnce()) -> Vec<Rx> {
+        b.lock_queue().free_slots -= 1;
+        let held = Running { batcher: b, mates: Vec::new() };
+        thread::scope(|s| {
+            let submitters: Vec<_> = (0..n)
+                .map(|_| s.spawn(|| b.submit(Direction::ImToRec, 2, vec![1.0, 0.0, 0.0, 0.0])))
+                .collect();
+            while b.lock_queue().jobs.len() < n {
+                thread::sleep(Duration::from_millis(1));
+            }
+            then();
+            drop(held);
+            submitters.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
+        })
     }
 
     fn all_answered(rxs: &[Rx]) -> bool {
@@ -424,10 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn jobs_queued_behind_a_busy_worker_leave_in_full_batches() {
+    fn jobs_queued_behind_a_busy_slot_leave_in_full_batches() {
         let b = Batcher::new(engine(7), 4, Duration::ZERO, 1);
-        assert!(all_answered(&enqueue_unseen(&b, 10, || {})));
-        let batches = b.inner.batches.load(Ordering::Relaxed);
+        assert!(all_answered(&queue_behind_held_slot(&b, 10, || {})));
+        let batches = b.batches.load(Ordering::Relaxed);
         assert_eq!(batches, 3, "10 queued jobs at max_batch 4 leave in ceil(10 / 4) batches");
         b.shutdown();
     }
@@ -435,10 +443,8 @@ mod tests {
     #[test]
     fn shutdown_drains_queued_jobs_then_refuses_new_ones() {
         let b = Batcher::new(engine(5), 64, Duration::ZERO, 1);
-        // Queue the jobs and flip the flag under one hold of the queue lock,
-        // as shutdown() does: the worker first sees them already draining.
-        let rxs = enqueue_unseen(&b, 10, || b.inner.shutting_down.store(true, Ordering::SeqCst));
-        b.shutdown();
+        // Shutdown is flagged while all 10 jobs wait behind the held slot.
+        let rxs = queue_behind_held_slot(&b, 10, || b.shutdown());
         assert!(all_answered(&rxs), "queued job dropped during drain");
         assert!(matches!(
             b.submit(Direction::ImToRec, 2, vec![1.0, 0.0, 0.0, 0.0]),

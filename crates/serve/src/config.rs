@@ -12,9 +12,9 @@
 //! * `CMR_IVF_NPROBE` — cells probed per query when serving an IVF index
 //!   (the recall/latency dial for indexes booted from `CMRIVF1` files).
 //!
-//! Everything else (timeouts, cache geometry, worker count) is plain struct
-//! state with defaults tuned for the integration tests; bins override the
-//! fields directly from their CLI flags.
+//! Everything else (timeouts, cache geometry, execution slots) is plain
+//! struct state with defaults tuned for the integration tests; bins
+//! override the fields directly from their CLI flags.
 
 use std::time::Duration;
 
@@ -40,9 +40,9 @@ pub struct ServeConfig {
     /// Ignored: the admission queue never waits for company. Kept only for
     /// the `Batcher::new` call in `perfbench/src/layers.rs`.
     pub max_wait: Duration,
-    /// Number of batcher worker threads draining the admission queue, and
-    /// of execution slots: at most this many batches rank at once, whether
-    /// a worker or a submitting connection thread runs them.
+    /// Execution slots of the admission queue: at most this many batches
+    /// rank at once. Slots are not threads; each batch runs on the
+    /// connection thread whose query heads it.
     pub workers: usize,
     /// Per-connection socket read timeout; a connection that goes quiet
     /// mid-request for this long gets `408 Request Timeout`.
@@ -94,7 +94,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults overridden by the two serving env knobs, resolved through
+    /// Defaults overridden by the six serving env knobs, resolved through
     /// `lookup` (`env::var` in production, a closure in tests).
     ///
     /// Unset, empty, unparsable or zero values fall back to the defaults —

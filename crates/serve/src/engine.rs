@@ -210,8 +210,8 @@ impl Engine {
         self.backend(direction).search_batch(queries, k)
     }
 
-    /// The single-query reference path: exactly [`search_batch`]
-    /// (Self::search_batch) with a batch of one.
+    /// The single-query reference path: exactly
+    /// [`search_batch`](Self::search_batch) with a batch of one.
     ///
     /// # Errors
     /// Same conditions as [`search_batch`](Self::search_batch).

@@ -7,11 +7,12 @@
 //!
 //! The paper frames retrieval in the cooking context as an interactive,
 //! Recipe1M-scale problem; this crate is the serving half of that claim.
-//! Its throughput lever is the **admission queue** ([`Batcher`]): a lone
-//! query runs on its connection thread, and queries that pile up behind
-//! busy execution slots leave in micro-batches — a free worker takes the
-//! queued queries of one shape, up to `CMR_SERVE_BATCH`, and dispatches
-//! them at once to the batched ranking kernel, which is bit-identical per
+//! Its throughput lever is the **admission queue** ([`Batcher`]): every
+//! query runs on a connection thread, and queries that pile up behind
+//! busy execution slots leave in micro-batches — when a slot frees, the
+//! connection thread whose query is at the front takes it with up to
+//! `CMR_SERVE_BATCH − 1` queued queries of its shape and dispatches them
+//! at once to the batched ranking kernel, which is bit-identical per
 //! query to the single-query path, so batching never changes response
 //! bytes. A sharded LRU cache ([`ShardedCache`])
 //! keyed on the raw query bytes short-circuits repeats entirely.

@@ -28,10 +28,10 @@
 //! connection; only an accept *error* (e.g. `EMFILE`) backs off briefly,
 //! so it cannot spin. [`Server::shutdown`] sets the shutdown flag and wakes
 //! the loop with one loopback connect to the bound port. It then lets every
-//! connection thread finish its in-flight request and drains the admission
-//! queue, so no admitted request is dropped. Idle keep-alive connections
-//! close at their next read-timeout tick, so shutdown takes at most roughly
-//! one `read_timeout`.
+//! connection thread finish its in-flight request (a queued query waits on
+//! its own connection thread until it is run), so no admitted request is
+//! dropped. Idle keep-alive connections close at their next read-timeout
+//! tick, so shutdown takes at most roughly one `read_timeout`.
 //!
 //! A sharded front end drops its router's idle pooled shard connections
 //! once its own connections are done, so a [`ShardFleet`] shutdown that
@@ -167,8 +167,9 @@ impl Server {
         self.ctx.cache.len()
     }
 
-    /// Graceful shutdown: stop accepting, finish in-flight requests, drain
-    /// the admission queue. Idempotent; also runs on drop.
+    /// Graceful shutdown: stop accepting, finish in-flight requests (each
+    /// queued query is run or answered before its connection thread is
+    /// joined), refuse further submissions. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_handle.take() {
@@ -390,8 +391,8 @@ fn search(req: &Request, ctx: &Ctx, direction: Direction) -> Result<Reply, Serve
     match &ctx.dispatch {
         Dispatch::Local { batcher, .. } => {
             let rx = batcher.submit(direction, k, query)?;
-            // A dropped sender means the drain finished without this job,
-            // which submit()'s shutdown check rules out — map it defensively.
+            // A dropped sender means the batch carrying this job unwound
+            // before answering it — map it to a retryable 503.
             // An inner Err is the engine's typed refusal (e.g. EmptyIndex on
             // an index booted from disk): map to its status, cache nothing.
             let body = rx.recv().map_err(|_| ServeError::ShuttingDown)??;

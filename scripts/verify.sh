@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Repo verification gate: the tier-1 build/test gate, a type-check of the
-# benchmark (perfbench/) against its lockfile, the robustness suites
-# (fault injection + checkpoint round-trip properties), the serving gate
-# (the shipped serve binary driven by loadgen), the ANN gate and the chaos
-# gate.
+# benchmark (perfbench/) against its lockfile, a warning-free rustdoc
+# build, the robustness suites (fault injection + checkpoint round-trip
+# properties), the serving gate (the shipped serve binary driven by
+# loadgen), the ANN gate and the chaos gate.
 #
 #   ./scripts/verify.sh
 #
@@ -135,6 +135,10 @@ check_lint_budget() {
 gate "static analysis: lint budget" check_lint_budget
 
 gate "tier 1: workspace tests" cargo test -q --workspace
+
+# Docs gate: every intra-doc link resolves and rustdoc prints no warning.
+gate "docs: rustdoc warning-free" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 gate "robustness: fault-injection suite" cargo test --test fault_injection -q
 
